@@ -16,6 +16,8 @@
 #include "pnr/route.hpp"
 #include "schematic/generator.hpp"
 #include "schematic/migrate.hpp"
+#include "schematic/netlist.hpp"
+#include "schematic/textio.hpp"
 
 namespace {
 
@@ -67,19 +69,63 @@ void BM_MazeRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_MazeRoute)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_SchematicMigration(benchmark::State& state) {
-  using namespace interop::sch;
-  GeneratorOptions opt;
+/// The migrate_large proportions: two sheets, two-pin nets at two thirds
+/// of the components per sheet (range 100 / 400 / 1600 -> about 200 / 800 /
+/// 3200 instances).
+interop::sch::Scenario schematic_scenario(benchmark::State& state) {
+  interop::sch::GeneratorOptions opt;
   opt.seed = 5;
   opt.components_per_sheet = int(state.range(0));
-  Scenario sc = make_exar_scenario(opt);
+  opt.nets_per_sheet = opt.components_per_sheet * 2 / 3;
+  return interop::sch::make_exar_scenario(opt);
+}
+
+void BM_SchematicMigration(benchmark::State& state) {
+  using namespace interop::sch;
+  Scenario sc = schematic_scenario(state);
   for (auto _ : state) {
     interop::base::DiagnosticEngine diags;
     MigrationResult result = migrate_design(sc.source, sc.config, diags);
     benchmark::DoNotOptimize(result.report.sheets);
   }
+  state.counters["instances"] = double(sc.source.instance_count());
 }
-BENCHMARK(BM_SchematicMigration)->Arg(12)->Arg(48);
+BENCHMARK(BM_SchematicMigration)->Arg(100)->Arg(400)->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_NetlistExtract(benchmark::State& state) {
+  using namespace interop::sch;
+  Scenario sc = schematic_scenario(state);
+  const Schematic& top = *sc.source.find_schematic("top");
+  for (auto _ : state) {
+    interop::base::DiagnosticEngine diags;
+    Netlist n = extract_netlist(sc.source, top, sc.config.source, diags);
+    benchmark::DoNotOptimize(n.nets.size());
+  }
+  state.counters["instances"] = double(sc.source.instance_count());
+}
+BENCHMARK(BM_NetlistExtract)->Arg(100)->Arg(400)->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
+
+/// One Migrate request's schematic work, single-threaded: read the design
+/// text, migrate, verify, write the migrated design.
+void BM_MigrateRequest(benchmark::State& state) {
+  using namespace interop::sch;
+  Scenario sc = schematic_scenario(state);
+  const std::string text = write_design(sc.source);
+  for (auto _ : state) {
+    interop::base::DiagnosticEngine diags;
+    Design src = read_design(text, diags);
+    MigrationResult result = migrate_design(src, sc.config, diags);
+    auto diffs = verify_migration(src, result.design, sc.config, diags);
+    std::string out = write_design(result.design);
+    benchmark::DoNotOptimize(diffs.size());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["instances"] = double(sc.source.instance_count());
+}
+BENCHMARK(BM_MigrateRequest)->Arg(12)->Arg(100)->Arg(400)->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FlowAnalysis(benchmark::State& state) {
   using namespace interop::core;

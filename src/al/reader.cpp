@@ -1,6 +1,7 @@
 #include "al/reader.hpp"
 
 #include <cctype>
+#include <iterator>
 
 #include "al/number.hpp"
 
@@ -57,15 +58,22 @@ class Reader {
 
   Value read_list() {
     ++pos_;  // consume '('
-    Value::List items;
+    // Items gather on a stack shared by every nesting level, then move into
+    // a list allocated once, at its final size.
+    const std::size_t base = items_.size();
     while (true) {
       skip_space();
       if (pos_ >= src_.size()) throw AlError("unterminated list");
       if (src_[pos_] == ')') {
         ++pos_;
+        auto first = items_.begin() + std::ptrdiff_t(base);
+        Value::List items(std::make_move_iterator(first),
+                          std::make_move_iterator(items_.end()));
+        items_.erase(first, items_.end());
         return Value(std::move(items));
       }
-      items.push_back(read_form());
+      Value item = read_form();
+      items_.push_back(std::move(item));
     }
   }
 
@@ -114,6 +122,7 @@ class Reader {
 
   const std::string& src_;
   std::size_t pos_ = 0;
+  std::vector<Value> items_;  ///< read_list's item stack
 };
 
 }  // namespace

@@ -2,8 +2,11 @@
 // Content hashing for the parallel runtime's memoization layer. FNV-1a
 // (64-bit) over length-prefixed fields: fast, dependency-free, and stable
 // across runs/platforms — exactly what a content-addressed cache key needs.
-// Not cryptographic; collisions are a cache-correctness risk only in the
-// adversarial sense, which does not apply to a local result cache.
+// Not cryptographic, and the result cache is shared across tenants and
+// persisted to disk, while a hit does not check what produced its key: a
+// key collision (accidental or crafted by one tenant) returns another
+// request's result. Stronger keys or a checked key preimage are ROADMAP
+// item 5.
 
 #include <cstdint>
 #include <string>

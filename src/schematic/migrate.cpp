@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "base/strings.hpp"
 
@@ -41,19 +42,11 @@ std::int64_t baseline_units(const FontMetrics& font, std::int64_t height) {
 
 // -------------------------------------------------------- attach helper
 
-/// Make `at` a legal pin-connection point on `sheet`: if it is interior to a
-/// wire (not an endpoint), drop a junction dot there.
-void ensure_connectable(Sheet& sheet, const Point& at) {
-  bool endpoint = false;
-  bool interior = false;
-  for (const Segment& w : sheet.wires) {
-    if (w.a == at || w.b == at) endpoint = true;
-    else if (w.contains(at)) interior = true;
-  }
-  if (!endpoint && interior &&
-      std::find(sheet.junctions.begin(), sheet.junctions.end(), at) ==
-          sheet.junctions.end())
-    sheet.junctions.push_back(at);
+/// Make `at` a legal pin-connection point on the indexed sheet: if it is
+/// interior to a wire (not an endpoint), drop a junction dot there.
+void ensure_connectable(SheetIndex& index, const Point& at) {
+  if (!index.has_endpoint(at) && index.on_wire(at) && !index.has_junction(at))
+    index.add_junction(at);
 }
 
 }  // namespace
@@ -112,6 +105,8 @@ MigrationResult migrate_design(const Design& src,
 
     // Canonical label name -> pages it appears on (for off-page connectors).
     std::map<std::string, std::set<int>> label_pages;
+    // Geometry index per sheet, parallel to sch.sheets.
+    std::vector<SheetIndex> indexes;
 
     for (const Sheet& sheet_src : sch_src.sheets) {
       ++report.sheets;
@@ -153,7 +148,12 @@ MigrationResult migrate_design(const Design& src,
       }
 
       // ---- step 3: symbol replacement with rip-up / reroute ----
-      // (collect names first: replace_component mutates the instance list)
+      // Wire edits accumulate in the sheet's index and are stored back
+      // once, after the connector steps below.
+      SheetIndex& index = indexes.emplace_back(sheet);
+      std::unordered_map<std::string, std::size_t> first_named;
+      for (std::size_t i = 0; i < sheet.instances.size(); ++i)
+        first_named.try_emplace(sheet.instances[i].name, i);
       std::vector<std::pair<std::string, const SymbolMapEntry*>> replacements;
       for (const Instance& inst : sheet.instances)
         if (const SymbolMapEntry* entry = config.symbol_map.find(inst.symbol))
@@ -167,12 +167,18 @@ MigrationResult migrate_design(const Design& src,
                       {"sch.replace", name});
           continue;
         }
-        // Pin positions must be located on the already-rescaled sheet.
-        SymbolDef from_scaled = *from_def;
-        for (SymbolPin& pin : from_scaled.pins)
-          pin.pos = scaler.point(pin.pos);
-        replace_component(sheet, name, *entry, from_scaled, *to_def,
-                          config.ripup_policy, report.ripup, diags);
+        // Pin positions must be located on the already-rescaled sheet
+        // (scaling is the identity when grid units are preserved).
+        SymbolDef from_scaled;
+        if (config.scale_policy != ScalePolicy::PreserveGridUnits) {
+          from_scaled = *from_def;
+          for (SymbolPin& pin : from_scaled.pins)
+            pin.pos = scaler.point(pin.pos);
+          from_def = &from_scaled;
+        }
+        replace_component(sheet, index, first_named.at(name), *entry,
+                          *from_def, *to_def, config.ripup_policy,
+                          report.ripup, diags);
       }
 
       // ---- step 4: bus syntax translation on labels ----
@@ -240,7 +246,8 @@ MigrationResult migrate_design(const Design& src,
         for (const SymbolPin& pin : cell_symbol->pins) {
           std::string want = translate_text(pin.name);
           bool placed = false;
-          for (Sheet& sheet : sch.sheets) {
+          for (std::size_t si = 0; si < sch.sheets.size(); ++si) {
+            Sheet& sheet = sch.sheets[si];
             for (const NetLabel& label : sheet.labels) {
               if (label.text != want) continue;
               SymbolKey key = pin.dir == PinDir::Input    ? config.hier_in
@@ -252,7 +259,7 @@ MigrationResult migrate_design(const Design& src,
               conn.placement = connector_placement(key, label.at);
               conn.props.set("port", want);
               conn.props.set("dir", to_string(pin.dir));
-              ensure_connectable(sheet, label.at);
+              ensure_connectable(indexes[si], label.at);
               sheet.instances.push_back(std::move(conn));
               ++report.hier_connectors_added;
               placed = true;
@@ -276,7 +283,8 @@ MigrationResult migrate_design(const Design& src,
         if (base::ends_with(name, config.target.global_suffix) &&
             !config.target.global_suffix.empty())
           continue;  // globals connect by themselves
-        for (Sheet& sheet : sch.sheets) {
+        for (std::size_t si = 0; si < sch.sheets.size(); ++si) {
+          Sheet& sheet = sch.sheets[si];
           if (!pages.count(sheet.number)) continue;
           // Find the label with this name on this page.
           for (const NetLabel& label : sheet.labels) {
@@ -293,7 +301,7 @@ MigrationResult migrate_design(const Design& src,
             conn.symbol = config.offpage;
             conn.placement = connector_placement(config.offpage, label.at);
             conn.props.set("net", label.text);
-            ensure_connectable(sheet, label.at);
+            ensure_connectable(indexes[si], label.at);
             sheet.instances.push_back(std::move(conn));
             ++report.offpage_connectors_added;
             break;
@@ -301,6 +309,9 @@ MigrationResult migrate_design(const Design& src,
         }
       }
     }
+
+    for (std::size_t si = 0; si < sch.sheets.size(); ++si)
+      indexes[si].store(sch.sheets[si]);
 
     // ---- step 8: cosmetics (fonts / baseline offsets) ----
     auto fix_text = [&](TextLabel& t) {
@@ -360,31 +371,29 @@ std::vector<NetlistDiff> verify_migration(const Design& src,
         extract_netlist(migrated, *sch_dst, config.target, diags);
 
     // Map golden pin names through the symbol map, and normalize net names.
-    std::map<std::string, SymbolKey> inst_symbols;
+    // (The last instance of a name decides its symbol.)
+    std::unordered_map<std::string, const SymbolMapEntry*> inst_entries;
     for (const Sheet& sheet : sch_src.sheets)
       for (const Instance& inst : sheet.instances)
-        inst_symbols[inst.name] = inst.symbol;
+        inst_entries[inst.name] = config.symbol_map.find(inst.symbol);
 
     Netlist mapped;
     mapped.cell = golden.cell;
     for (const auto& [name, net] : golden.nets) {
-      ExtractedNet copy = net;
-      copy.canonical = normalize_name(name);
-      copy.connections.clear();
+      ExtractedNet copy{normalize_name(name), net.named,    net.global,
+                        net.is_port,          net.port_dir, {}};
       for (const NetConnection& c : net.connections) {
-        NetConnection nc = c;
-        auto it = inst_symbols.find(c.instance);
-        if (it != inst_symbols.end()) {
-          if (const SymbolMapEntry* entry =
-                  config.symbol_map.find(it->second))
-            nc.pin = SymbolMap::map_pin(*entry, c.pin);
-        }
-        copy.connections.insert(nc);
+        auto it = inst_entries.find(c.instance);
+        if (it != inst_entries.end() && it->second)
+          copy.connections.insert(
+              {c.instance, SymbolMap::map_pin(*it->second, c.pin)});
+        else
+          copy.connections.insert(c);
       }
       // Merge in case normalization collides two names (itself a finding).
       ExtractedNet& slot = mapped.nets[copy.canonical];
       if (slot.canonical.empty()) {
-        slot = copy;
+        slot = std::move(copy);
       } else {
         for (const NetConnection& c : copy.connections)
           slot.connections.insert(c);

@@ -1,10 +1,13 @@
 #include "schematic/netlist.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "base/strings.hpp"
+#include "schematic/sheet_index.hpp"
 
 namespace interop::sch {
 
@@ -29,57 +32,10 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-/// Geometry nodes of one sheet: every distinct point that participates in
-/// connectivity (wire endpoints, junctions, pin positions, label anchors).
-class SheetNodes {
- public:
-  explicit SheetNodes(const Sheet& sheet) : sheet_(sheet) {
-    for (const Segment& w : sheet.wires) {
-      id_of(w.a);
-      id_of(w.b);
-    }
-    for (const Point& j : sheet.junctions) id_of(j);
-  }
-
-  std::size_t id_of(const Point& p) {
-    auto [it, added] = ids_.try_emplace(p, next_);
-    if (added) ++next_;
-    return it->second;
-  }
-
-  std::size_t count() const { return next_; }
-
-  /// Segments containing `p` anywhere (endpoint or interior).
-  std::vector<std::size_t> segments_at(const Point& p) const {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < sheet_.wires.size(); ++i)
-      if (sheet_.wires[i].contains(p)) out.push_back(i);
-    return out;
-  }
-
-  /// Segments having `p` as an endpoint.
-  std::vector<std::size_t> segments_ending_at(const Point& p) const {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < sheet_.wires.size(); ++i)
-      if (sheet_.wires[i].a == p || sheet_.wires[i].b == p) out.push_back(i);
-    return out;
-  }
-
-  bool has_junction(const Point& p) const {
-    return std::find(sheet_.junctions.begin(), sheet_.junctions.end(), p) !=
-           sheet_.junctions.end();
-  }
-
- private:
-  const Sheet& sheet_;
-  std::map<Point, std::size_t> ids_;
-  std::size_t next_ = 0;
-};
-
 /// Everything we learn about one connected wire group on one sheet.
 struct WireGroup {
   std::set<NetConnection> connections;
-  std::vector<std::string> label_texts;
+  std::vector<NetRef> label_refs;          ///< labels, parsed
   std::vector<std::string> offpage_names;   ///< from off-page connectors
   std::vector<std::string> global_names;    ///< from global-net symbols
   std::vector<std::pair<std::string, PinDir>> ports;  ///< hier connectors
@@ -103,6 +59,10 @@ PinDir dir_from_text(const std::string& s) {
 }  // namespace
 
 std::string Netlist::signature(const ExtractedNet& net) {
+  if (net.connections.size() == 1) {
+    const NetConnection& c = *net.connections.begin();
+    return c.instance + "." + c.pin;
+  }
   std::vector<std::string> parts;
   parts.reserve(net.connections.size());
   for (const NetConnection& c : net.connections)
@@ -144,7 +104,19 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
   std::vector<SheetGroups> all_groups;
 
   for (const Sheet& sheet : sch.sheets) {
-    SheetNodes nodes(sheet);
+    const SheetIndex index(sheet);
+    // Union-find nodes: every distinct point that takes part in
+    // connectivity, numbered wire ends first (as the index numbers them),
+    // then junctions, pins and label anchors.
+    PointIds nodes = index.endpoints();
+    std::vector<std::size_t> wire_a, wire_b;  ///< node of each wire end
+    wire_a.reserve(sheet.wires.size());
+    wire_b.reserve(sheet.wires.size());
+    for (SheetIndex::Id i = 0; i < sheet.wires.size(); ++i) {
+      wire_a.push_back(index.end_id(i, false));
+      wire_b.push_back(index.end_id(i, true));
+    }
+    for (const Point& j : sheet.junctions) nodes.id_of(j);
     const std::string page_obj = "page" + std::to_string(sheet.number);
 
     // Extra nodes for instance pins and labels are appended after wiring
@@ -152,6 +124,7 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
     struct PinSite {
       std::size_t node;
       const Instance* inst;
+      const SymbolDef* def;
       const SymbolPin* pin;
       Point pos;
     };
@@ -168,7 +141,7 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
       }
       for (const SymbolPin& pin : def->pins) {
         Point pos = inst.placement.apply(pin.pos);
-        pin_sites.push_back({nodes.id_of(pos), &inst, &pin, pos});
+        pin_sites.push_back({nodes.id_of(pos), &inst, def, &pin, pos});
       }
     }
 
@@ -181,71 +154,86 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
       label_sites.push_back({nodes.id_of(label.at), &label});
 
     // Union wires.
-    UnionFind uf(nodes.count());
-    for (const Segment& w : sheet.wires)
-      uf.unite(nodes.id_of(w.a), nodes.id_of(w.b));
+    UnionFind uf(nodes.size());
+    for (std::size_t i = 0; i < sheet.wires.size(); ++i)
+      uf.unite(wire_a[i], wire_b[i]);
 
     // Junction dots connect interior crossings/tees.
     for (const Point& j : sheet.junctions) {
       std::size_t jid = nodes.id_of(j);
-      for (std::size_t si : nodes.segments_at(j))
-        uf.unite(jid, nodes.id_of(sheet.wires[si].a));
+      for (SheetIndex::Id si : index.containing(j)) uf.unite(jid, wire_a[si]);
     }
 
     // Pins: connect when the pin sits on a wire endpoint, or on a wire
     // interior that carries a junction dot. Coincident pins connect by
     // abutment because they share the node id.
+    auto pin_diag = [&](base::Severity severity, const char* code,
+                        const PinSite& site, std::string_view what) {
+      const std::string& inst = site.inst->name;
+      std::string message;
+      message.reserve(5 + inst.size() + site.pin->name.size() + what.size());
+      message.append("pin ").append(inst).append(".").append(site.pin->name)
+          .append(what);
+      std::string object;
+      object.reserve(page_obj.size() + 1 + inst.size());
+      object.append(page_obj).append("/").append(inst);
+      diags.report(severity, code, std::move(message),
+                   {"sch.extract", std::move(object)});
+    };
+    std::vector<std::size_t> pins_at_node(nodes.size(), 0);
+    for (const PinSite& site : pin_sites) ++pins_at_node[site.node];
     for (const PinSite& site : pin_sites) {
       bool wired = false;
-      if (!nodes.segments_ending_at(site.pos).empty()) {
+      if (index.has_endpoint(site.pos)) {
         wired = true;  // endpoint: id_of already unified via segment union
-      } else if (nodes.has_junction(site.pos) &&
-                 !nodes.segments_at(site.pos).empty()) {
-        wired = true;
-      } else if (!nodes.segments_at(site.pos).empty()) {
-        diags.warn("pin-crosses-wire",
-                   "pin " + site.inst->name + "." + site.pin->name +
-                       " lies on a wire interior without a junction; "
-                       "not connected",
-                   {"sch.extract", page_obj + "/" + site.inst->name});
+      } else if (index.on_wire(site.pos)) {
+        if (index.has_junction(site.pos)) {
+          wired = true;
+        } else {
+          pin_diag(base::Severity::Warning, "pin-crosses-wire", site,
+                   " lies on a wire interior without a junction; "
+                   "not connected");
+        }
       }
-      if (!wired) {
-        // Dangling pin: forms (or joins) a node only with coincident pins.
-        bool shared = false;
-        for (const PinSite& other : pin_sites)
-          if (&other != &site && other.pos == site.pos) shared = true;
-        if (!shared)
-          diags.note("dangling-pin",
-                     "pin " + site.inst->name + "." + site.pin->name +
-                         " is unconnected",
-                     {"sch.extract", page_obj + "/" + site.inst->name});
-      }
+      // Dangling pin: forms (or joins) a node only with coincident pins.
+      if (!wired && pins_at_node[site.node] == 1)
+        pin_diag(base::Severity::Note, "dangling-pin", site, " is unconnected");
     }
 
-    // Labels must land on a wire.
+    // Labels must land on a wire; one on several joins the lowest-index.
     for (const LabelSite& site : label_sites) {
-      std::vector<std::size_t> segs = nodes.segments_at(site.label->at);
+      std::vector<SheetIndex::Id> segs = index.containing(site.label->at);
       if (segs.empty()) {
         diags.warn("floating-label",
                    "label '" + site.label->text + "' is not on any wire",
                    {"sch.extract", page_obj});
       } else {
-        uf.unite(site.node, nodes.id_of(sheet.wires[segs.front()].a));
+        uf.unite(site.node, wire_a[segs.front()]);
       }
     }
 
-    // Gather groups.
-    std::map<std::size_t, WireGroup> groups;
-    for (const Segment& w : sheet.wires) {
-      WireGroup& g = groups[uf.find(nodes.id_of(w.a))];
+    // Gather groups, numbered in ascending root order.
+    std::vector<std::size_t> group_of(nodes.size(), 0);
+    for (std::size_t w : wire_a) group_of[uf.find(w)] = 1;
+    for (const PinSite& site : pin_sites) group_of[uf.find(site.node)] = 1;
+    for (const LabelSite& site : label_sites) group_of[uf.find(site.node)] = 1;
+    std::size_t group_count = 0;
+    for (std::size_t& g : group_of) g = g ? group_count++ : 0;
+    std::vector<WireGroup> groups(group_count);
+    auto group = [&](std::size_t node) -> WireGroup& {
+      return groups[group_of[uf.find(node)]];
+    };
+    for (std::size_t i = 0; i < sheet.wires.size(); ++i) {
+      const Segment& w = sheet.wires[i];
+      WireGroup& g = group(wire_a[i]);
       g.note_point(w.a);
       g.note_point(w.b);
     }
     for (const PinSite& site : pin_sites) {
-      WireGroup& g = groups[uf.find(site.node)];
+      WireGroup& g = group(site.node);
       g.note_point(site.pos);
       const Instance& inst = *site.inst;
-      const SymbolDef* def = design.find_symbol(inst.symbol);
+      const SymbolDef* def = site.def;
       switch (def->role) {
         case SymbolRole::Component:
           g.connections.insert({inst.name, site.pin->name});
@@ -264,18 +252,22 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
           break;
       }
     }
-    for (const LabelSite& site : label_sites) {
-      groups[uf.find(site.node)].label_texts.push_back(site.label->text);
-    }
+    for (const LabelSite& site : label_sites)
+      group(site.node).label_refs.push_back(
+          parse_net_ref(site.label->text, dialect, known_buses));
 
+    // Deterministic order (sorting a permutation moves no group around
+    // but places them exactly as sorting the groups themselves would).
+    std::vector<std::size_t> order(groups.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&groups](std::size_t a, std::size_t b) {
+                return groups[a].anchor < groups[b].anchor;
+              });
     SheetGroups sg;
     sg.page = sheet.number;
-    for (auto& [root, g] : groups) sg.groups.push_back(std::move(g));
-    // Deterministic order.
-    std::sort(sg.groups.begin(), sg.groups.end(),
-              [](const WireGroup& a, const WireGroup& b) {
-                return a.anchor < b.anchor;
-              });
+    sg.groups.reserve(groups.size());
+    for (std::size_t i : order) sg.groups.push_back(std::move(groups[i]));
     all_groups.push_back(std::move(sg));
   }
 
@@ -293,11 +285,9 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
   if (!dialect.implicit_offpage_by_name) {
     for (const SheetGroups& sg : all_groups) {
       for (const WireGroup& g : sg.groups) {
-        for (const std::string& text : g.label_texts) {
-          NetRef ref = parse_net_ref(text, dialect, known_buses);
+        for (const NetRef& ref : g.label_refs)
           for (const std::string& bit : canonical_bits(ref))
             name_pages[bit].insert(sg.page);
-        }
         for (const std::string& on : g.offpage_names) {
           NetRef ref = parse_net_ref(on, dialect, known_buses);
           for (const std::string& bit : canonical_bits(ref))
@@ -307,24 +297,36 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
     }
   }
 
+  // Viewlogic-style implicit ports: the canonical bits of the cell symbol's
+  // pins, in pin order.
+  std::vector<std::pair<std::string, PinDir>> implicit_port_bits;
+  if (!dialect.requires_hier_connectors && cell_symbol)
+    for (const SymbolPin& pin : cell_symbol->pins)
+      for (std::string& bit :
+           canonical_bits(parse_net_ref(pin.name, dialect, known_buses)))
+        implicit_port_bits.emplace_back(std::move(bit), pin.dir);
+
   int anon_counter = 0;
+  // `last_use`: the group's connections are not needed afterwards, so a
+  // fresh net may take them over instead of copying.
   auto add_connections = [&out](const std::string& canon, bool named,
-                                bool global, const WireGroup& g) {
+                                bool global, WireGroup& g, bool last_use) {
     ExtractedNet& net = out.nets[canon];
     net.canonical = canon;
     net.named = net.named || named;
     net.global = net.global || global;
-    for (const NetConnection& c : g.connections) net.connections.insert(c);
+    if (last_use && net.connections.empty())
+      net.connections = std::move(g.connections);
+    else
+      net.connections.insert(g.connections.begin(), g.connections.end());
   };
 
-  for (const SheetGroups& sg : all_groups) {
-    for (const WireGroup& g : sg.groups) {
+  for (SheetGroups& sg : all_groups) {
+    for (WireGroup& g : sg.groups) {
       std::vector<std::pair<std::string, bool>> names;  // canonical, global
 
-      for (const std::string& text : g.label_texts) {
-        NetRef ref = parse_net_ref(text, dialect, known_buses);
+      for (NetRef& cleaned : g.label_refs) {
         bool global = false;
-        NetRef cleaned = ref;
         if (!dialect.global_suffix.empty() &&
             base::ends_with(cleaned.base, dialect.global_suffix)) {
           global = true;
@@ -354,18 +356,19 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
 
       if (names.empty()) {
         std::string anon = "$anon" + std::to_string(anon_counter++);
-        add_connections(anon, false, false, g);
+        add_connections(anon, false, false, g, true);
         continue;
       }
 
       std::vector<std::string> resolved;
-      for (auto& [canon, global] : names) {
+      for (std::size_t n = 0; n < names.size(); ++n) {
+        const auto& [canon, global] = names[n];
         bool design_wide = global || dialect.implicit_offpage_by_name ||
                            !g.offpage_names.empty();
         bool multipage = !design_wide && name_pages[canon].size() > 1;
         std::string scoped =
             multipage ? canon + "@p" + std::to_string(sg.page) : canon;
-        add_connections(scoped, true, global, g);
+        add_connections(scoped, true, global, g, n + 1 == names.size());
         resolved.push_back(std::move(scoped));
       }
 
@@ -384,17 +387,13 @@ Netlist extract_netlist(const Design& design, const Schematic& sch,
         // a pin of the cell's own symbol is a port.
         for (const auto& [canon, global] : names) {
           (void)global;
-          for (const SymbolPin& pin : cell_symbol->pins) {
-            NetRef pinref = parse_net_ref(pin.name, dialect, known_buses);
-            for (const std::string& bit : canonical_bits(pinref)) {
-              if (bit == canon) {
-                ExtractedNet& net = out.nets[canon];
-                net.canonical = canon;
-                net.named = true;
-                net.is_port = true;
-                net.port_dir = pin.dir;
-              }
-            }
+          for (const auto& [bit, dir] : implicit_port_bits) {
+            if (bit != canon) continue;
+            ExtractedNet& net = out.nets[canon];
+            net.canonical = canon;
+            net.named = true;
+            net.is_port = true;
+            net.port_dir = dir;
           }
         }
       }
@@ -423,11 +422,11 @@ std::vector<NetlistDiff> compare_netlists(const Netlist& golden,
   std::vector<NetlistDiff> diffs;
 
   // Anonymous nets match by connection signature.
-  std::map<std::string, const ExtractedNet*> subject_anon;
+  std::unordered_map<std::string, const ExtractedNet*> subject_anon;
   for (const auto& [name, net] : subject.nets)
     if (!net.named) subject_anon[Netlist::signature(net)] = &net;
 
-  std::set<std::string> matched_subject;
+  std::unordered_set<std::string> matched_subject;
 
   for (const auto& [name, gnet] : golden.nets) {
     const ExtractedNet* snet = nullptr;

@@ -8,39 +8,13 @@ namespace interop::sch {
 
 namespace {
 
-/// Indices of all segments transitively connected (by shared endpoints or
-/// junction-dotted interior contacts) to any segment in `seeds`.
-std::set<std::size_t> flood_net(const Sheet& sheet,
-                                const std::set<std::size_t>& seeds) {
-  std::set<std::size_t> seen = seeds;
-  std::vector<std::size_t> work(seeds.begin(), seeds.end());
-  auto joined = [&sheet](const Segment& a, const Segment& b) {
-    if (a.a == b.a || a.a == b.b || a.b == b.a || a.b == b.b) return true;
-    for (const Point& j : sheet.junctions)
-      if (a.contains(j) && b.contains(j)) return true;
-    return false;
-  };
-  while (!work.empty()) {
-    std::size_t cur = work.back();
-    work.pop_back();
-    for (std::size_t i = 0; i < sheet.wires.size(); ++i) {
-      if (seen.count(i)) continue;
-      if (joined(sheet.wires[cur], sheet.wires[i])) {
-        seen.insert(i);
-        work.push_back(i);
-      }
-    }
-  }
-  return seen;
-}
-
 /// Route from `from` to `to` with at most two axis-parallel segments,
-/// preferring a corner outside `avoid`. Appends to sheet.wires.
-std::int64_t route_l(Sheet& sheet, const Point& from, const Point& to,
+/// preferring a corner outside `avoid`.
+std::int64_t route_l(SheetIndex& index, const Point& from, const Point& to,
                      const Rect& avoid, RipupStats& stats) {
   if (from == to) return 0;
   if (from.x == to.x || from.y == to.y) {
-    sheet.wires.push_back({from, to});
+    index.add({from, to});
     ++stats.segments_rerouted;
     return base::manhattan(from, to);
   }
@@ -49,8 +23,8 @@ std::int64_t route_l(Sheet& sheet, const Point& from, const Point& to,
   Point corner = avoid.contains(corner1) && !avoid.contains(corner2)
                      ? corner2
                      : corner1;
-  sheet.wires.push_back({from, corner});
-  sheet.wires.push_back({corner, to});
+  index.add({from, corner});
+  index.add({corner, to});
   stats.segments_rerouted += 2;
   return base::manhattan(from, corner) + base::manhattan(corner, to);
 }
@@ -58,45 +32,58 @@ std::int64_t route_l(Sheet& sheet, const Point& from, const Point& to,
 }  // namespace
 
 bool replace_component(Sheet& sheet, const std::string& inst_name,
-                       const SymbolMapEntry& entry, const SymbolDef& from_def_,
+                       const SymbolMapEntry& entry, const SymbolDef& from_def,
                        const SymbolDef& to_def, RipupPolicy policy,
                        RipupStats& stats, base::DiagnosticEngine& diags) {
   auto idx = sheet.find_instance(inst_name);
   if (!idx) return false;
-  Instance& inst = sheet.instances[*idx];
-  const SymbolDef* from_def = &from_def_;
+  SheetIndex index(sheet);
+  replace_component(sheet, index, *idx, entry, from_def, to_def, policy,
+                    stats, diags);
+  index.store(sheet);
+  return true;
+}
+
+void replace_component(Sheet& sheet, SheetIndex& index, std::size_t instance,
+                       const SymbolMapEntry& entry, const SymbolDef& from_def,
+                       const SymbolDef& to_def, RipupPolicy policy,
+                       RipupStats& stats, base::DiagnosticEngine& diags) {
+  Instance& inst = sheet.instances[instance];
 
   // Old pin endpoints, in source-pin order.
   struct PinWork {
     std::string from_pin;
     std::string to_pin;
     Point old_pos;
-    std::vector<std::size_t> ripped;   ///< segment indices ripped at this pin
-    std::vector<Point> stubs;          ///< far endpoints to reroute from
+    std::vector<SheetIndex::Id> ripped;  ///< segments ripped at this pin
+    std::vector<Point> stubs;            ///< far endpoints to reroute from
   };
   std::vector<PinWork> work;
-  std::set<std::size_t> seed_segments;
-  for (const SymbolPin& pin : from_def->pins) {
+  std::vector<SheetIndex::Id> seed_segments;
+  for (const SymbolPin& pin : from_def.pins) {
     PinWork w;
     w.from_pin = pin.name;
     w.to_pin = SymbolMap::map_pin(entry, pin.name);
     w.old_pos = inst.placement.apply(pin.pos);
-    for (std::size_t i = 0; i < sheet.wires.size(); ++i) {
-      const Segment& s = sheet.wires[i];
-      if (s.a == w.old_pos || s.b == w.old_pos) {
-        w.ripped.push_back(i);
-        w.stubs.push_back(s.a == w.old_pos ? s.b : s.a);
-        seed_segments.insert(i);
-      }
+    w.ripped = index.ending_at(w.old_pos);
+    for (SheetIndex::Id id : w.ripped) {
+      const Segment& s = index.segment(id);
+      w.stubs.push_back(s.a == w.old_pos ? s.b : s.a);
     }
+    seed_segments.insert(seed_segments.end(), w.ripped.begin(),
+                         w.ripped.end());
     work.push_back(std::move(w));
   }
+  std::sort(seed_segments.begin(), seed_segments.end());
+  seed_segments.erase(
+      std::unique(seed_segments.begin(), seed_segments.end()),
+      seed_segments.end());
 
   // What the naive policy would rip: the entire nets touching the instance.
-  std::set<std::size_t> full = flood_net(sheet, seed_segments);
+  std::vector<SheetIndex::Id> full = index.net_of(seed_segments);
   stats.fullnet_would_rip += full.size();
 
-  const std::set<std::size_t>& to_rip =
+  const std::vector<SheetIndex::Id>& to_rip =
       policy == RipupPolicy::Minimal ? seed_segments : full;
   stats.segments_ripped += to_rip.size();
 
@@ -110,14 +97,15 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
   };
   std::vector<NetRebuild> rebuilds;
   if (policy == RipupPolicy::FullNet) {
-    std::set<std::size_t> assigned;
+    std::set<Point> old_pins;
+    for (const PinWork& w : work) old_pins.insert(w.old_pos);
+    std::set<SheetIndex::Id> assigned;
     for (const PinWork& w : work) {
       if (w.ripped.empty()) continue;
-      std::set<std::size_t> seeds(w.ripped.begin(), w.ripped.end());
-      std::set<std::size_t> group = flood_net(sheet, seeds);
+      std::vector<SheetIndex::Id> group = index.net_of(w.ripped);
       // Skip groups already rebuilt from another pin (same net on 2 pins).
       bool fresh = true;
-      for (std::size_t i : group)
+      for (SheetIndex::Id i : group)
         if (assigned.count(i)) fresh = false;
       if (!fresh) continue;
       assigned.insert(group.begin(), group.end());
@@ -126,12 +114,10 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
       rb.to_pin = w.to_pin;
       // Endpoint usage count within the group.
       std::map<Point, int> uses;
-      for (std::size_t i : group) {
-        ++uses[sheet.wires[i].a];
-        ++uses[sheet.wires[i].b];
+      for (SheetIndex::Id i : group) {
+        ++uses[index.segment(i).a];
+        ++uses[index.segment(i).b];
       }
-      std::set<Point> old_pins;
-      for (const PinWork& ww : work) old_pins.insert(ww.old_pos);
       // Other replaced pins on this same net rejoin through the chain.
       for (const PinWork& ww : work) {
         if (&ww == &w || ww.ripped.empty()) continue;
@@ -143,13 +129,9 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
       }
       // Label points must stay electrically attached, wherever they sat on
       // the old wiring (leaf, tee, or interior).
-      for (const NetLabel& label : sheet.labels) {
-        bool on_group = false;
-        for (std::size_t i : group)
-          if (sheet.wires[i].contains(label.at)) on_group = true;
-        if (on_group && !old_pins.count(label.at))
-          rb.anchors.push_back(label.at);
-      }
+      for (SheetIndex::Id i : group)
+        for (const Point& at : index.labels_on(i))
+          if (!old_pins.count(at)) rb.anchors.push_back(at);
       std::sort(rb.anchors.begin(), rb.anchors.end());
       rb.anchors.erase(std::unique(rb.anchors.begin(), rb.anchors.end()),
                        rb.anchors.end());
@@ -157,11 +139,7 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
     }
   }
 
-  // Remove ripped segments (descending index order keeps indices valid).
-  std::vector<std::size_t> ripped(to_rip.begin(), to_rip.end());
-  std::sort(ripped.rbegin(), ripped.rend());
-  for (std::size_t i : ripped)
-    sheet.wires.erase(sheet.wires.begin() + static_cast<std::ptrdiff_t>(i));
+  for (SheetIndex::Id id : to_rip) index.remove(id);
 
   // Re-place the instance with the mapped symbol.
   inst.symbol = entry.to;
@@ -197,22 +175,22 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
         stats.next_rebuild_lane -= 2;
         Point down_a{cur.x, lane};
         Point down_b{anchor.x, lane};
-        sheet.wires.push_back({cur, down_a});
+        index.add({cur, down_a});
         ++stats.segments_rerouted;
         stats.reroute_length += base::manhattan(cur, down_a);
         if (down_a != down_b) {
-          sheet.wires.push_back({down_a, down_b});
+          index.add({down_a, down_b});
           ++stats.segments_rerouted;
           stats.reroute_length += base::manhattan(down_a, down_b);
         }
-        sheet.wires.push_back({down_b, anchor});
+        index.add({down_b, anchor});
         ++stats.segments_rerouted;
         stats.reroute_length += base::manhattan(down_b, anchor);
         cur = anchor;
       }
     }
     ++stats.instances_replaced;
-    return true;
+    return;
   }
 
   for (const PinWork& w : work) {
@@ -228,15 +206,14 @@ bool replace_component(Sheet& sheet, const std::string& inst_name,
     }
     Point new_pos = inst.placement.apply(new_pin->pos);
     for (const Point& stub : w.stubs) {
-      stats.reroute_length += route_l(sheet, stub, new_pos, body, stats);
+      stats.reroute_length += route_l(index, stub, new_pos, body, stats);
     }
     // More than one stub converging on the pin needs a junction dot so the
     // rejoined wires stay electrically one net.
-    if (w.stubs.size() > 1) sheet.junctions.push_back(new_pos);
+    if (w.stubs.size() > 1) index.add_junction(new_pos);
   }
 
   ++stats.instances_replaced;
-  return true;
 }
 
 double graphical_similarity(const Sheet& before, const Sheet& after) {

@@ -15,6 +15,7 @@
 #include "base/diagnostics.hpp"
 #include "schematic/mapping.hpp"
 #include "schematic/model.hpp"
+#include "schematic/sheet_index.hpp"
 
 namespace interop::sch {
 
@@ -47,6 +48,15 @@ struct RipupStats {
 ///
 /// Returns false when the instance cannot be found.
 bool replace_component(Sheet& sheet, const std::string& inst_name,
+                       const SymbolMapEntry& entry, const SymbolDef& from_def,
+                       const SymbolDef& to_def, RipupPolicy policy,
+                       RipupStats& stats, base::DiagnosticEngine& diags);
+
+/// The same replacement for sheet.instances[instance], for a run of
+/// replacements on one sheet: wire and junction edits go to `index` (built
+/// from `sheet`), and the caller writes them back with index.store(sheet)
+/// after the last one.
+void replace_component(Sheet& sheet, SheetIndex& index, std::size_t instance,
                        const SymbolMapEntry& entry, const SymbolDef& from_def,
                        const SymbolDef& to_def, RipupPolicy policy,
                        RipupStats& stats, base::DiagnosticEngine& diags);

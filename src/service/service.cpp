@@ -95,6 +95,20 @@ Response error_response(std::uint64_t id, std::string why) {
 
 InteropService::InteropService(ServiceOptions opt)
     : opt_(opt), epoch_(std::chrono::steady_clock::now()) {
+  m_admitted_.bind(&metrics_, "service.admitted");
+  m_completed_.bind(&metrics_, "service.completed");
+  m_errors_.bind(&metrics_, "service.errors");
+  m_rejected_.bind(&metrics_, "service.rejected");
+  m_queue_depth_.bind(&metrics_, "service.queue.depth");
+  m_tenants_.bind(&metrics_, "service.tenants");
+  m_in_flight_.bind(&metrics_, "service.in_flight");
+  m_queue_wait_us_.bind(&metrics_, "service.queue_wait_us");
+  m_handle_us_.bind(&metrics_, "service.handle_us");
+  for (std::size_t t = std::size_t(MsgType::Ping); t < m_latency_us_.size();
+       ++t)
+    m_latency_us_[t].bind(&metrics_,
+                          "service.latency_us." + to_string(MsgType(t)));
+
   // Resident cache, durable when a store directory was configured. A
   // store that cannot open must not take the service down with it — the
   // daemon still serves, just cold after every restart — so the failure
@@ -170,8 +184,8 @@ bool InteropService::submit(Request req, Done done) {
     Response resp;
     resp.id = req.id;
     resp.body = "draining";
-    metrics_.counter("service.admitted").add();
-    metrics_.counter("service.completed").add();
+    m_admitted_->add();
+    m_completed_->add();
     done(std::move(resp));
     return true;
   }
@@ -190,9 +204,9 @@ bool InteropService::submit(Request req, Done done) {
       (void)fresh;
       it->second.push_back(std::move(p));
       ++queued_;
-      metrics_.counter("service.admitted").add();
-      metrics_.gauge("service.queue.depth").set(std::int64_t(queued_));
-      metrics_.gauge("service.tenants").set(std::int64_t(queues_.size()));
+      m_admitted_->add();
+      m_queue_depth_->set(std::int64_t(queued_));
+      m_tenants_->set(std::int64_t(queues_.size()));
       lock.unlock();
       work_cv_.notify_one();
       return true;
@@ -207,7 +221,7 @@ bool InteropService::submit(Request req, Done done) {
       reject.error = "queue full";
     }
   }
-  metrics_.counter("service.rejected").add();
+  m_rejected_->add();
   if (obs::armed())
     obs::instant("service", "reject",
                  "\"tenant\":\"" + obs::escape_json(req.tenant) +
@@ -275,8 +289,8 @@ void InteropService::worker_loop(int worker_id) {
       if (!it->second.empty()) rr_.push_back(tenant);
       --queued_;
       ++in_flight_;
-      metrics_.gauge("service.queue.depth").set(std::int64_t(queued_));
-      metrics_.gauge("service.in_flight").set(in_flight_);
+      m_queue_depth_->set(std::int64_t(queued_));
+      m_in_flight_->set(in_flight_);
 
       Flight flight;
       flight.token = std::make_shared<runtime::CancelToken>();
@@ -288,8 +302,7 @@ void InteropService::worker_loop(int worker_id) {
     }
 
     std::uint64_t start_us = now_us();
-    metrics_.histogram("service.queue_wait_us")
-        .observe(start_us - p.enqueue_us);
+    m_queue_wait_us_->observe(start_us - p.enqueue_us);
     Response resp = handle(p.req, flight_id);
     resp.id = p.req.id;
     finish(std::move(p), std::move(resp), start_us);
@@ -298,7 +311,7 @@ void InteropService::worker_loop(int worker_id) {
       std::lock_guard<std::mutex> lock(mu_);
       flights_.erase(flight_id);
       --in_flight_;
-      metrics_.gauge("service.in_flight").set(in_flight_);
+      m_in_flight_->set(in_flight_);
     }
     drain_cv_.notify_all();
   }
@@ -306,14 +319,15 @@ void InteropService::worker_loop(int worker_id) {
 
 void InteropService::finish(Pending p, Response resp, std::uint64_t start_us) {
   std::uint64_t end_us = now_us();
-  metrics_
-      .histogram("service.latency_us." + to_string(p.req.type))
-      .observe(end_us - p.enqueue_us);
-  metrics_.histogram("service.handle_us").observe(end_us - start_us);
-  metrics_
-      .counter(resp.status == Status::Ok ? "service.completed"
-                                         : "service.errors")
-      .add();
+  const std::size_t type = std::size_t(p.req.type);
+  obs::MetricHistogram& latency =
+      type >= std::size_t(MsgType::Ping) && type < m_latency_us_.size()
+          ? *m_latency_us_[type]
+          : metrics_.histogram("service.latency_us." +
+                               to_string(p.req.type));
+  latency.observe(end_us - p.enqueue_us);
+  m_handle_us_->observe(end_us - start_us);
+  (resp.status == Status::Ok ? m_completed_ : m_errors_)->add();
   p.done(std::move(resp));
 }
 

@@ -29,6 +29,8 @@
 // Metrics endpoint exposes it — and each request runs under a TraceSession
 // span (cat "service") when tracing is armed.
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -38,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <thread>
 #include <vector>
 
@@ -165,6 +168,46 @@ class InteropService {
   std::string store_error_;
 
   obs::Metrics metrics_;
+
+  /// A registry handle looked up by name on first use, then cached: the
+  /// request path skips the registry's lock and name building, and the
+  /// metric still enters the exposition only once it is first touched,
+  /// exactly as a lookup per request would.
+  template <class M>
+  class MetricHandle {
+   public:
+    void bind(obs::Metrics* registry, std::string name) {
+      registry_ = registry;
+      name_ = std::move(name);
+    }
+    M& operator*() {
+      M* m = metric_.load(std::memory_order_acquire);
+      if (!m) {
+        if constexpr (std::is_same_v<M, obs::MetricCounter>)
+          m = &registry_->counter(name_);
+        else if constexpr (std::is_same_v<M, obs::MetricGauge>)
+          m = &registry_->gauge(name_);
+        else
+          m = &registry_->histogram(name_);
+        metric_.store(m, std::memory_order_release);
+      }
+      return *m;
+    }
+    M* operator->() { return &**this; }
+
+   private:
+    obs::Metrics* registry_ = nullptr;
+    std::string name_;
+    std::atomic<M*> metric_{nullptr};
+  };
+  MetricHandle<obs::MetricCounter> m_admitted_, m_completed_, m_errors_,
+      m_rejected_;
+  MetricHandle<obs::MetricGauge> m_queue_depth_, m_tenants_, m_in_flight_;
+  MetricHandle<obs::MetricHistogram> m_queue_wait_us_, m_handle_us_;
+  /// service.latency_us.<type>, indexed by MsgType.
+  std::array<MetricHandle<obs::MetricHistogram>,
+             std::size_t(MsgType::Drain) + 1>
+      m_latency_us_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;    ///< workers wait for queued work

@@ -456,6 +456,10 @@ TEST(ServiceCore, AdmissionControlRejectsWithRetryAfter) {
     slow.id = std::uint64_t(i + 1);
     slow.seed = std::uint64_t(1000 + i);  // distinct: no cache shortcuts
     svc.submit(slow, [&done_count](Response) { ++done_count; });
+    // Let the worker claim the first one before queueing the others, so a
+    // slow thread wake-up cannot make the queue overflow one submit early.
+    for (int wait = 0; i == 0 && svc.in_flight() == 0 && wait < 5000; ++wait)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Worker has one, queue holds two: the next submit must be shed.
   Request extra = slow;
