@@ -2,17 +2,6 @@
 
 namespace interop::al {
 
-Engine parse_engine(const std::string& name) {
-  if (name == "tree-walker") return Engine::TreeWalker;
-  if (name == "bytecode") return Engine::Bytecode;
-  throw AlError("unknown a/L engine '" + name +
-                "' (expected tree-walker or bytecode)");
-}
-
-const char* engine_name(Engine e) {
-  return e == Engine::TreeWalker ? "tree-walker" : "bytecode";
-}
-
 namespace {
 
 const char* op_name(Op op) {

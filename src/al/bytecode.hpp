@@ -33,11 +33,6 @@ enum class Engine {
   Bytecode,
 };
 
-/// Parse an engine name ("tree-walker" or "bytecode"); throws AlError on
-/// anything else. Used by interopd --al-engine and test parameterization.
-Engine parse_engine(const std::string& name);
-const char* engine_name(Engine e);
-
 enum class Op : std::uint8_t {
   Const,        ///< push consts[arg]
   Nil,          ///< push nil

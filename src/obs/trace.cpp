@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <istream>
+#include <iterator>
 #include <ostream>
+
+#include "base/bytes.hpp"
 
 namespace interop::obs {
 
@@ -141,98 +144,62 @@ void TraceSession::write_chrome_json(std::ostream& os) {
   os << "]}";
 }
 
-// Binary form: fixed header, then length-prefixed records. Integers are
-// little-endian fixed width; strings are u32 length + bytes. Self-
-// describing enough for an external reader and for read_binary below.
+// Binary form: fixed header, then length-prefixed records, in the repo's
+// one byte codec (base/bytes.hpp). Self-describing enough for an external
+// reader and for read_binary below.
 
 namespace {
 
 constexpr char kMagic[4] = {'I', 'O', 'T', 'R'};
 constexpr std::uint32_t kVersion = 1;
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = char((v >> (8 * i)) & 0xff);
-  os.write(b, 4);
-}
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = char((v >> (8 * i)) & 0xff);
-  os.write(b, 8);
-}
-
-void put_str(std::ostream& os, const std::string& s) {
-  put_u32(os, std::uint32_t(s.size()));
-  os.write(s.data(), std::streamsize(s.size()));
-}
-
-bool get_u32(std::istream& is, std::uint32_t* v) {
-  char b[4];
-  if (!is.read(b, 4)) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i)
-    *v |= std::uint32_t(static_cast<unsigned char>(b[i])) << (8 * i);
-  return true;
-}
-
-bool get_u64(std::istream& is, std::uint64_t* v) {
-  char b[8];
-  if (!is.read(b, 8)) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i)
-    *v |= std::uint64_t(static_cast<unsigned char>(b[i])) << (8 * i);
-  return true;
-}
-
-bool get_str(std::istream& is, std::string* s) {
-  std::uint32_t n = 0;
-  if (!get_u32(is, &n)) return false;
-  if (n > (1u << 24)) return false;  // sanity bound on one string
-  s->resize(n);
-  return n == 0 || bool(is.read(s->data(), std::streamsize(n)));
-}
+/// Sanity bound on one decoded string.
+constexpr std::uint32_t kMaxString = 1u << 24;
 
 }  // namespace
 
 void TraceSession::write_binary(std::ostream& os) {
   std::vector<TraceEvent> events = flush();
-  os.write(kMagic, 4);
-  put_u32(os, kVersion);
-  put_u64(os, events.size());
+  std::string out;
+  base::ByteWriter w(out);
+  w.bytes({kMagic, 4});
+  w.u32(kVersion);
+  w.u64(events.size());
   for (const TraceEvent& e : events) {
-    put_u64(os, e.ts_us);
-    put_u32(os, e.tid);
-    os.put(char(e.kind));
-    put_u64(os, std::uint64_t(e.value));
-    put_u64(os, e.id);
-    put_str(os, e.name);
-    put_str(os, e.cat);
-    put_str(os, e.args);
+    w.u64(e.ts_us);
+    w.u32(e.tid);
+    w.u8(std::uint8_t(e.kind));
+    w.u64(std::uint64_t(e.value));
+    w.u64(e.id);
+    w.str(e.name);
+    w.str(e.cat);
+    w.str(e.args);
   }
+  os.write(out.data(), std::streamsize(out.size()));
 }
 
 bool TraceSession::read_binary(std::istream& is,
                                std::vector<TraceEvent>* out) {
   out->clear();
-  char magic[4];
+  const std::string bytes{std::istreambuf_iterator<char>(is),
+                          std::istreambuf_iterator<char>()};
+  base::ByteReader r(bytes);
+  std::string_view magic;
   std::uint32_t version = 0;
   std::uint64_t count = 0;
-  if (!is.read(magic, 4) || !std::equal(magic, magic + 4, kMagic)) return false;
-  if (!get_u32(is, &version) || version != kVersion) return false;
-  if (!get_u64(is, &count)) return false;
+  if (!r.bytes(4, &magic) || magic != std::string_view(kMagic, 4) ||
+      !r.u32(&version) || version != kVersion || !r.u64(&count))
+    return false;
   for (std::uint64_t i = 0; i < count; ++i) {
     TraceEvent e;
+    std::uint8_t kind = 0;
     std::uint64_t value = 0;
-    int kind = 0;
-    if (!get_u64(is, &e.ts_us) || !get_u32(is, &e.tid)) return false;
-    if ((kind = is.get()) == std::istream::traits_type::eof()) return false;
-    if (kind > int(EventKind::Counter)) return false;
-    e.kind = EventKind(kind);
-    if (!get_u64(is, &value) || !get_u64(is, &e.id)) return false;
-    e.value = std::int64_t(value);
-    if (!get_str(is, &e.name) || !get_str(is, &e.cat) || !get_str(is, &e.args))
+    if (!r.u64(&e.ts_us) || !r.u32(&e.tid) || !r.u8(&kind) ||
+        kind > std::uint8_t(EventKind::Counter) || !r.u64(&value) ||
+        !r.u64(&e.id) || !r.str(&e.name, kMaxString) ||
+        !r.str(&e.cat, kMaxString) || !r.str(&e.args, kMaxString))
       return false;
+    e.kind = EventKind(kind);
+    e.value = std::int64_t(value);
     out->push_back(std::move(e));
   }
   return true;

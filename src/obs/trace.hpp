@@ -145,8 +145,8 @@ class Span {
   TraceBuffer* buf_ = nullptr;
 };
 
-/// Minimal JSON string escaping for args payloads (quotes, backslash,
-/// control chars) — mirrors runtime::json_escape without the dependency.
+/// Minimal JSON string escaping (quotes, backslash, control chars): the
+/// one escaper for trace args and the run journal's JSON and TSV forms.
 std::string escape_json(std::string_view s);
 
 }  // namespace interop::obs

@@ -1,8 +1,8 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
+#include <thread>
 
 #include "obs/trace.hpp"
 
@@ -27,6 +27,7 @@ ParallelExecutor::ParallelExecutor(
       options_(options),
       cache_(std::move(cache)),
       clock_(std::make_shared<SteadyClock>()),
+      watchdog_(std::make_unique<Watchdog>(clock_)),
       m_runnable_(obs::Metrics::global().gauge("runtime.queue.runnable")),
       m_cache_hit_(obs::Metrics::global().counter("runtime.cache.hit")),
       m_cache_miss_(obs::Metrics::global().counter("runtime.cache.miss")),
@@ -49,6 +50,7 @@ std::string ParallelExecutor::instantiate(
 
 void ParallelExecutor::set_clock(std::shared_ptr<Clock> clock) {
   clock_ = std::move(clock);
+  watchdog_ = std::make_unique<Watchdog>(clock_);
   journal_.set_clock(clock_);
 }
 
@@ -191,7 +193,6 @@ bool ParallelExecutor::pop_own(int worker_id, Batch* out) {
 }
 
 bool ParallelExecutor::steal_from_victim(int worker_id, Batch* out) {
-  if (!options_.work_stealing) return false;
   int n = int(deques_.size());
   for (int k = 1; k < n; ++k) {
     WorkerDeque& q = *deques_[std::size_t((worker_id + k) % n)];
@@ -213,55 +214,8 @@ bool ParallelExecutor::steal_from_victim(int worker_id, Batch* out) {
 
 // --------------------------------------------------------------- watchdog
 
-std::uint64_t ParallelExecutor::arm_timeout(CancelToken* token) {
-  std::lock_guard<std::mutex> lock(wd_mu_);
-  std::uint64_t id = ++next_arm_id_;
-  std::uint64_t deadline =
-      options_.step_timeout_us > 0
-          ? journal_.now_us() + options_.step_timeout_us
-          : std::numeric_limits<std::uint64_t>::max();
-  armed_[id] = {deadline, token};
-  if (stop_requested_.load(std::memory_order_relaxed)) token->cancel();
-  wd_cv_.notify_all();
-  return id;
-}
-
-void ParallelExecutor::disarm_timeout(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(wd_mu_);
-  armed_.erase(id);
-  // No notify: the watchdog re-derives the earliest deadline on its next
-  // wakeup; an erased deadline only makes it wake early once, not late.
-}
-
-void ParallelExecutor::watchdog_loop() {
-  std::unique_lock<std::mutex> lock(wd_mu_);
-  while (!wd_stop_) {
-    ++wd_wakeups_;
-    std::uint64_t now = journal_.now_us();
-    std::uint64_t earliest = std::numeric_limits<std::uint64_t>::max();
-    for (auto& [id, armed] : armed_) {
-      if (armed.token->cancelled()) continue;
-      if (armed.deadline_us <= now)
-        armed.token->cancel();
-      else
-        earliest = std::min(earliest, armed.deadline_us);
-    }
-    // Event-driven: sleep until the earliest pending deadline, or forever
-    // when nothing is armed — arm_timeout/request_stop/run-end notify.
-    // Deadlines are clock-based (deterministic under SimClock, where
-    // injected hangs self-cancel after advancing the sim time); the sleep
-    // below is real time, bounding how late a wedged real action is cut
-    // loose by nothing but scheduling noise.
-    if (earliest == std::numeric_limits<std::uint64_t>::max())
-      wd_cv_.wait(lock);
-    else
-      wd_cv_.wait_for(lock, std::chrono::microseconds(earliest - now));
-  }
-}
-
 std::uint64_t ParallelExecutor::watchdog_wakeups() const {
-  std::lock_guard<std::mutex> lock(wd_mu_);
-  return wd_wakeups_;
+  return watchdog_->wakeups();
 }
 
 void ParallelExecutor::request_stop() {
@@ -271,11 +225,7 @@ void ParallelExecutor::request_stop() {
     stop_ = true;
   }
   cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(wd_mu_);
-    for (auto& [id, armed] : armed_) armed.token->cancel();
-  }
-  wd_cv_.notify_all();
+  watchdog_->fire_all();
 }
 
 // -------------------------------------------------------- item execution
@@ -364,8 +314,15 @@ ParallelExecutor::ItemOutcome ParallelExecutor::execute_item(
     }
     rec.start_us = journal_.now_us();
 
+    // Every attempt is armed, even with timeouts off (at kNever, which
+    // starts no watchdog thread), so request_stop() reaches it.
     CancelToken token;
-    std::uint64_t arm_id = arm_timeout(&token);
+    std::uint64_t arm_id = watchdog_->arm(
+        options_.step_timeout_us > 0
+            ? clock_->now_us() + options_.step_timeout_us
+            : Watchdog::kNever,
+        [&token] { token.cancel(); });
+    if (stop_requested_.load(std::memory_order_relaxed)) token.cancel();
     wf::ActionApi api(engine_, engine_.instance(), item.name);
     api.set_cancel_flag(token.flag());
 
@@ -407,7 +364,7 @@ ParallelExecutor::ItemOutcome ParallelExecutor::execute_item(
         break;
       }
     }
-    disarm_timeout(arm_id);
+    watchdog_->disarm(arm_id);
     if (token.cancelled()) rec.timed_out = true;
     rec.end_us = journal_.now_us();
 
@@ -640,28 +597,11 @@ RunStats ParallelExecutor::run_impl(
   journal_.begin_run(options_.workers);
   engine_.set_concurrency_guard(&mu_);
 
-  {
-    std::lock_guard<std::mutex> lock(wd_mu_);
-    wd_stop_ = false;
-    wd_wakeups_ = 0;
-    armed_.clear();
-  }
-  std::thread watchdog;
-  if (options_.step_timeout_us > 0)
-    watchdog = std::thread([this] { watchdog_loop(); });
-
   std::vector<std::thread> pool;
   pool.reserve(std::size_t(n));
   for (int i = 0; i < n; ++i)
     pool.emplace_back([this, i] { worker_loop(i); });
   for (std::thread& t : pool) t.join();
-
-  {
-    std::lock_guard<std::mutex> lock(wd_mu_);
-    wd_stop_ = true;
-  }
-  wd_cv_.notify_all();
-  if (watchdog.joinable()) watchdog.join();
 
   engine_.set_concurrency_guard(nullptr);
   journal_.end_run();

@@ -29,17 +29,15 @@
 // attempt loop — a failed or timed-out attempt is retried in place (the
 // step stays Running) with deterministic exponential backoff until the
 // RetryPolicy budget runs out; only the final attempt's result reaches the
-// engine. A watchdog thread cancels attempts past the step timeout through
-// a per-attempt CancelToken (cooperative: actions poll
-// ActionApi::cancel_requested(), injected hangs block on the token). The
-// watchdog is event-driven: it sleeps until the earliest armed deadline
-// (or indefinitely when nothing is armed) and is re-woken by arm/disarm,
-// so an idle armed watchdog burns zero CPU. request_stop() cancels
-// everything in flight ("kill"); already-claimed batches still execute and
-// apply so the journal stays consistent. resume_run() restarts a killed
-// run from a prior journal's completion markers, replaying
-// journaled-complete steps through the ResultCache and re-executing only
-// lost work.
+// engine. The shared runtime::Watchdog (watchdog.hpp) cancels attempts
+// past the step timeout through a per-attempt CancelToken (cooperative:
+// actions poll ActionApi::cancel_requested(), injected hangs block on the
+// token); with no step timeout it starts no thread at all.
+// request_stop() cancels everything in flight ("kill"); already-claimed
+// batches still execute and apply so the journal stays consistent.
+// resume_run() restarts a killed run from a prior journal's completion
+// markers, replaying journaled-complete steps through the ResultCache and
+// re-executing only lost work.
 
 #include <atomic>
 #include <condition_variable>
@@ -58,6 +56,7 @@
 #include "runtime/fault.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/retry.hpp"
+#include "runtime/watchdog.hpp"
 #include "workflow/engine.hpp"
 
 namespace interop::runtime {
@@ -83,9 +82,6 @@ struct ExecutorOptions {
   /// inherit the p50 estimate; with no samples at all nothing batches, so
   /// a cold run of expensive steps keeps full overlap.
   std::uint64_t batch_threshold_us = 0;
-  /// Idle workers steal batches FIFO from victims' deques. Disabling keeps
-  /// batches on the worker that formed them (diagnostic knob).
-  bool work_stealing = true;
 };
 
 struct RunStats {
@@ -152,10 +148,10 @@ class ParallelExecutor {
   std::shared_ptr<ResultCache> cache() const { return cache_; }
   bool complete() const { return engine_.complete(); }
 
-  /// Times the watchdog thread woke (deadline sweeps) during the last
-  /// armed run. A watchdog idling on one far deadline wakes a handful of
-  /// times total; the old 1 ms polling loop woke ~1000×/s (regression
-  /// test hook).
+  /// Times the watchdog thread woke (deadline sweeps) during this
+  /// executor's runs since the last set_clock(). A watchdog idling on one
+  /// far deadline wakes a handful of times total; a 1 ms polling loop
+  /// would wake ~1000×/s (regression test hook).
   std::uint64_t watchdog_wakeups() const;
 
  private:
@@ -220,19 +216,14 @@ class ParallelExecutor {
   void apply_outcome_locked(ItemOutcome& o);
   RunStats run_impl(const std::set<std::string>* journaled_complete);
 
-  // Watchdog: workers arm a (deadline, token) per attempt; the watchdog
-  // cancels tokens past deadline. Deadlines are clock-based (deterministic
-  // under SimClock); the watchdog sleeps in real time until the earliest
-  // armed deadline and re-evaluates on arm/disarm/stop.
-  std::uint64_t arm_timeout(CancelToken* token);
-  void disarm_timeout(std::uint64_t id);
-  void watchdog_loop();
-
   wf::Engine engine_;
   ExecutorOptions options_;
   std::shared_ptr<ResultCache> cache_;
   std::shared_ptr<FaultInjector> faults_;
   std::shared_ptr<Clock> clock_;
+  /// Every attempt's token is armed here (see execute_item); rebuilt by
+  /// set_clock() so deadlines read the installed clock.
+  std::unique_ptr<Watchdog> watchdog_;
   RunJournal journal_;
 
   std::mutex mu_;  ///< the engine's concurrency guard during run()
@@ -268,17 +259,6 @@ class ParallelExecutor {
   obs::MetricHistogram& m_step_us_;
   obs::MetricHistogram& m_replay_us_;
   obs::MetricHistogram& m_batch_size_;
-
-  struct ArmedTimeout {
-    std::uint64_t deadline_us;
-    CancelToken* token;
-  };
-  mutable std::mutex wd_mu_;
-  std::condition_variable wd_cv_;
-  std::map<std::uint64_t, ArmedTimeout> armed_;
-  std::uint64_t next_arm_id_ = 0;
-  bool wd_stop_ = false;
-  std::uint64_t wd_wakeups_ = 0;
 };
 
 }  // namespace interop::runtime

@@ -7,7 +7,11 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/trace.hpp"
+
 namespace interop::runtime {
+
+using obs::escape_json;
 
 void RunJournal::set_clock(std::shared_ptr<Clock> clock) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -66,17 +70,17 @@ std::vector<JournalEntry> RunJournal::attempts_for(
 // ------------------------------------------------------------- save/load
 //
 // One header line, then one tab-separated line per entry. Step names are
-// json-escaped, which also escapes tabs/newlines, so fields can never
-// collide with the separator.
+// escaped with obs::escape_json, which also escapes tabs/newlines, so
+// fields can never collide with the separator.
 
 void RunJournal::save(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "interop-journal\tv1\t" << workers_ << "\t" << wall_us_ << "\n";
   for (const JournalEntry& e : entries_) {
-    os << json_escape(e.step) << "\t" << e.worker << "\t" << e.attempt << "\t"
+    os << escape_json(e.step) << "\t" << e.worker << "\t" << e.attempt << "\t"
        << e.start_us << "\t" << e.end_us << "\t" << int(e.cache_hit)
        << int(e.ok) << int(e.rerun) << int(e.timed_out) << int(e.resumed)
-       << "\t" << json_escape(e.fault) << "\t" << int(e.has_key) << "\t"
+       << "\t" << escape_json(e.fault) << "\t" << int(e.has_key) << "\t"
        << e.key << "\n";
   }
 }
@@ -97,7 +101,7 @@ std::vector<std::string> split_tabs(const std::string& line) {
   }
 }
 
-/// Inverse of json_escape for the subset it emits.
+/// Inverse of escape_json for the subset it emits.
 std::string json_unescape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -285,30 +289,6 @@ RunJournal::Summary RunJournal::summary(
   return s;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string RunJournal::to_json(const wf::FlowInstance& instance) const {
   Summary s = summary(instance);
   std::ostringstream os;
@@ -318,7 +298,7 @@ std::string RunJournal::to_json(const wf::FlowInstance& instance) const {
   for (const JournalEntry& e : entries()) {
     if (!first) os << ",";
     first = false;
-    os << "{\"step\":\"" << json_escape(e.step) << "\",\"worker\":" << e.worker
+    os << "{\"step\":\"" << escape_json(e.step) << "\",\"worker\":" << e.worker
        << ",\"attempt\":" << e.attempt << ",\"start_us\":" << e.start_us
        << ",\"end_us\":" << e.end_us
        << ",\"cache_hit\":" << (e.cache_hit ? "true" : "false")
@@ -326,7 +306,7 @@ std::string RunJournal::to_json(const wf::FlowInstance& instance) const {
        << ",\"rerun\":" << (e.rerun ? "true" : "false");
     if (e.timed_out) os << ",\"timed_out\":true";
     if (e.resumed) os << ",\"resumed\":true";
-    if (!e.fault.empty()) os << ",\"fault\":\"" << json_escape(e.fault) << "\"";
+    if (!e.fault.empty()) os << ",\"fault\":\"" << escape_json(e.fault) << "\"";
     if (e.has_key) os << ",\"key\":\"" << std::hex << e.key << std::dec << "\"";
     if (e.span != 0) os << ",\"span\":" << e.span;
     if (e.batch != 0) os << ",\"batch\":" << e.batch;
@@ -344,7 +324,7 @@ std::string RunJournal::to_json(const wf::FlowInstance& instance) const {
   for (const std::string& name : s.critical_path) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << json_escape(name) << "\"";
+    os << "\"" << escape_json(name) << "\"";
   }
   os << "]}}";
   return os.str();

@@ -119,7 +119,4 @@ class RunJournal {
   std::size_t load_dropped_ = 0;
 };
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-std::string json_escape(const std::string& s);
-
 }  // namespace interop::runtime

@@ -94,7 +94,9 @@ Response error_response(std::uint64_t id, std::string why) {
 }  // namespace
 
 InteropService::InteropService(ServiceOptions opt)
-    : opt_(opt), epoch_(std::chrono::steady_clock::now()) {
+    : opt_(opt),
+      clock_(std::make_shared<runtime::SteadyClock>()),
+      watchdog_(clock_) {
   m_admitted_.bind(&metrics_, "service.admitted");
   m_completed_.bind(&metrics_, "service.completed");
   m_errors_.bind(&metrics_, "service.errors");
@@ -142,14 +144,11 @@ InteropService::InteropService(ServiceOptions opt)
   migration_config_.global_map = sch::make_standard_global_map();
   migration_config_.property_rules = sch::make_standard_property_rules();
   migration_config_.target_symbols = sch::make_target_library();
-  migration_config_.al_engine = opt_.al_engine;
 
   int workers = std::max(1, opt_.workers);
   workers_.reserve(std::size_t(workers));
   for (int i = 0; i < workers; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
-  if (opt_.request_timeout_us > 0)
-    watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 InteropService::~InteropService() {
@@ -160,20 +159,6 @@ InteropService::~InteropService() {
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(wd_mu_);
-      wd_stop_ = true;
-    }
-    wd_cv_.notify_all();
-    watchdog_.join();
-  }
-}
-
-std::uint64_t InteropService::now_us() const {
-  return std::uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - epoch_)
-                           .count());
 }
 
 bool InteropService::submit(Request req, Done done) {
@@ -197,7 +182,7 @@ bool InteropService::submit(Request req, Done done) {
       Pending p;
       p.req = std::move(req);
       p.done = std::move(done);
-      p.enqueue_us = now_us();
+      p.enqueue_us = clock_->now_us();
       const std::string& tenant = p.req.tenant;
       auto [it, fresh] = queues_.try_emplace(tenant);
       if (it->second.empty()) rr_.push_back(tenant);
@@ -274,7 +259,6 @@ void InteropService::worker_loop(int worker_id) {
   (void)worker_id;
   for (;;) {
     Pending p;
-    std::uint64_t flight_id = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stop_workers_ || !rr_.empty(); });
@@ -291,25 +275,26 @@ void InteropService::worker_loop(int worker_id) {
       ++in_flight_;
       m_queue_depth_->set(std::int64_t(queued_));
       m_in_flight_->set(in_flight_);
-
-      Flight flight;
-      flight.token = std::make_shared<runtime::CancelToken>();
-      flight.deadline_us = opt_.request_timeout_us > 0
-                               ? now_us() + opt_.request_timeout_us
-                               : 0;
-      flight_id = next_flight_id_++;
-      flights_.emplace(flight_id, std::move(flight));
     }
 
-    std::uint64_t start_us = now_us();
+    std::uint64_t start_us = clock_->now_us();
     m_queue_wait_us_->observe(start_us - p.enqueue_us);
-    Response resp = handle(p.req, flight_id);
+    Flight flight;
+    std::uint64_t arm_id = 0;
+    if (opt_.request_timeout_us > 0) {
+      flight.deadline_us = start_us + opt_.request_timeout_us;
+      arm_id = watchdog_.arm(flight.deadline_us, [this, &flight] {
+        metrics_.counter("service.timeouts").add();
+        flight.token.cancel();
+      });
+    }
+    Response resp = handle(p.req, flight);
+    if (arm_id != 0) watchdog_.disarm(arm_id);
     resp.id = p.req.id;
     finish(std::move(p), std::move(resp), start_us);
 
     {
       std::lock_guard<std::mutex> lock(mu_);
-      flights_.erase(flight_id);
       --in_flight_;
       m_in_flight_->set(in_flight_);
     }
@@ -318,7 +303,7 @@ void InteropService::worker_loop(int worker_id) {
 }
 
 void InteropService::finish(Pending p, Response resp, std::uint64_t start_us) {
-  std::uint64_t end_us = now_us();
+  std::uint64_t end_us = clock_->now_us();
   const std::size_t type = std::size_t(p.req.type);
   obs::MetricHistogram& latency =
       type >= std::size_t(MsgType::Ping) && type < m_latency_us_.size()
@@ -331,46 +316,13 @@ void InteropService::finish(Pending p, Response resp, std::uint64_t start_us) {
   p.done(std::move(resp));
 }
 
-void InteropService::watchdog_loop() {
-  // Coarse periodic scan: granularity is min(10ms, timeout/4), plenty for
-  // request-level (ms-scale) deadlines and contention-free when idle.
-  std::uint64_t tick_us =
-      std::min<std::uint64_t>(10'000, std::max<std::uint64_t>(
-                                          100, opt_.request_timeout_us / 4));
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(wd_mu_);
-      wd_cv_.wait_for(lock, std::chrono::microseconds(tick_us),
-                      [this] { return wd_stop_; });
-      if (wd_stop_) return;
-    }
-    std::uint64_t now = now_us();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, flight] : flights_) {
-      if (flight.deadline_us == 0 || now < flight.deadline_us) continue;
-      flight.deadline_us = 0;  // fire once
-      metrics_.counter("service.timeouts").add();
-      flight.token->cancel();
-      // Fired under mu_ so the handler cannot destroy the executor the
-      // callback stops while we hold a reference to it.
-      if (flight.on_cancel) flight.on_cancel();
-    }
-  }
-}
-
-Response InteropService::handle(const Request& req, std::uint64_t flight_id) {
+Response InteropService::handle(const Request& req, const Flight& flight) {
   obs::Span span("service", "request:" + to_string(req.type),
                  obs::armed() ? "\"tenant\":\"" + obs::escape_json(
                                     req.tenant) +
                                     "\",\"id\":" + std::to_string(req.id)
                               : std::string());
-  std::shared_ptr<runtime::CancelToken> token;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = flights_.find(flight_id);
-    if (it != flights_.end()) token = it->second.token;
-  }
-  if (token && token->cancelled())
+  if (flight.token.cancelled())
     return error_response(req.id, "cancelled before start");
 
   switch (req.type) {
@@ -384,7 +336,7 @@ Response InteropService::handle(const Request& req, std::uint64_t flight_id) {
     case MsgType::Netlist:
       return handle_netlist(req);
     case MsgType::FlowRun:
-      return handle_flow_run(req, flight_id);
+      return handle_flow_run(req, flight);
     case MsgType::Metrics: {
       Response resp;
       resp.body = metrics_.expose();
@@ -464,7 +416,7 @@ Response InteropService::handle_netlist(const Request& req) {
 }
 
 Response InteropService::handle_flow_run(const Request& req,
-                                         std::uint64_t flight_id) {
+                                         const Flight& flight) {
   if (!req.flow.empty() && req.flow != "fanout")
     return error_response(req.id, "unknown flow spec: " + req.flow);
   std::uint32_t width = std::clamp<std::uint32_t>(req.width, 1, 256);
@@ -473,9 +425,6 @@ Response InteropService::handle_flow_run(const Request& req,
 
   runtime::ExecutorOptions exec_opt;
   exec_opt.workers = std::max(1, opt_.flow_workers);
-  exec_opt.max_batch = std::max<std::size_t>(1, opt_.flow_max_batch);
-  exec_opt.batch_threshold_us = opt_.flow_batch_threshold_us;
-  exec_opt.work_stealing = opt_.flow_work_stealing;
   runtime::ParallelExecutor executor(
       make_fanout_flow(width, latency_us, req.seed), {},
       std::make_unique<wf::SimpleDataManager>(), exec_opt, cache_);
@@ -483,25 +432,17 @@ Response InteropService::handle_flow_run(const Request& req,
   if (!err.empty())
     return error_response(req.id, "instantiate failed: " + err);
 
-  {
-    // Let the watchdog stop the inner run if this request times out.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = flights_.find(flight_id);
-    if (it != flights_.end()) {
-      if (it->second.token->cancelled())
-        return error_response(req.id, "cancelled before flow run");
-      it->second.on_cancel = [&executor] { executor.request_stop(); };
-    }
-  }
+  if (flight.token.cancelled())
+    return error_response(req.id, "cancelled before flow run");
+  // Let the watchdog stop the inner run at the request's deadline. The
+  // disarm below returns only once that fire can no longer run, so it
+  // never touches the executor after this scope ends.
+  std::uint64_t stop_id = 0;
+  if (flight.deadline_us > 0)
+    stop_id = watchdog_.arm(flight.deadline_us,
+                            [&executor] { executor.request_stop(); });
   runtime::RunStats stats = executor.run();
-  {
-    // Detach before the executor goes out of scope; the watchdog fires
-    // on_cancel under this same mutex, so after this block no cancellation
-    // can touch the dead executor.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = flights_.find(flight_id);
-    if (it != flights_.end()) it->second.on_cancel = nullptr;
-  }
+  if (stop_id != 0) watchdog_.disarm(stop_id);
 
   // Shared-cache telemetry: cumulative across every request and tenant,
   // which is exactly what makes cross-request sharing visible.

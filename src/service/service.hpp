@@ -12,10 +12,11 @@
 // §5 answer to graceful degradation, instead of letting latency collapse),
 // then parks the request on its tenant's FIFO queue. A fixed worker pool
 // drains tenants round-robin, so one tenant flooding the daemon cannot
-// starve another's single request. Each in-flight request is registered
-// with a deadline; a watchdog thread fires the request's CancelToken (and
-// the inner flow executor's request_stop) past the timeout — the same
-// cooperative-cancellation machinery the flow runtime already uses.
+// starve another's single request. With a request timeout set, each
+// in-flight request is armed on the shared runtime::Watchdog, which fires
+// the request's CancelToken (and the inner flow executor's request_stop)
+// past the deadline — the same watchdog and cooperative cancellation the
+// flow runtime uses for step timeouts.
 //
 // Transport-free by design: the core consumes decoded wire::Request
 // structs and produces Responses through completion callbacks. The socket
@@ -31,7 +32,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -47,6 +47,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/retry.hpp"
+#include "runtime/watchdog.hpp"
 #include "schematic/migrate.hpp"
 #include "service/wire.hpp"
 #include "store/persistent_cache.hpp"
@@ -58,19 +59,13 @@ struct ServiceOptions {
   int workers = 4;
   /// Inner ParallelExecutor pool for each FlowRun request.
   int flow_workers = 2;
-  /// Scheduler knobs forwarded to that inner executor (see
-  /// runtime::ExecutorOptions): batch size cap, cost threshold below
-  /// which steps batch (0 = auto-tune from the observed cost
-  /// histogram), and whether idle workers steal queued batches.
-  std::size_t flow_max_batch = 16;
-  std::uint64_t flow_batch_threshold_us = 0;
-  bool flow_work_stealing = true;
   /// Admission bound: queued (not yet claimed) requests beyond this are
   /// rejected. 0 means reject everything (useful in tests).
   std::size_t queue_limit = 64;
   /// Backoff hint attached to rejections.
   std::uint64_t retry_after_us = 2000;
-  /// Cooperative per-request timeout; 0 disables the watchdog.
+  /// Cooperative per-request timeout; 0 arms no watchdog (and starts no
+  /// watchdog thread).
   std::uint64_t request_timeout_us = 0;
   /// Resident ResultCache bound (0 = unbounded) and shard count.
   std::size_t cache_entries = 0;
@@ -84,10 +79,6 @@ struct ServiceOptions {
   std::string store_dir;
   /// Segment rotation size for that store.
   std::uint64_t store_segment_bytes = 64ull << 20;
-  /// a/L engine for migration callbacks (interopd --al-engine). Bytecode
-  /// compiles each callback once per source and replays it across every
-  /// migrated object; TreeWalker is the reference interpreter.
-  al::Engine al_engine = al::Engine::Bytecode;
 };
 
 class InteropService {
@@ -139,25 +130,23 @@ class InteropService {
     Done done;
     std::uint64_t enqueue_us = 0;
   };
-  /// Watchdog registration for one in-flight request.
+  /// One in-flight request's cancellation state. The watchdog cancels
+  /// `token` at `deadline_us` (0 = no timeout, nothing armed).
   struct Flight {
     std::uint64_t deadline_us = 0;
-    std::shared_ptr<runtime::CancelToken> token;
-    /// Set while a FlowRun's executor is live, so cancellation can also
-    /// stop the inner run. Guarded by mu_.
-    std::function<void()> on_cancel;
+    runtime::CancelToken token;
   };
 
   void worker_loop(int worker_id);
-  void watchdog_loop();
-  Response handle(const Request& req, std::uint64_t flight_id);
+  Response handle(const Request& req, const Flight& flight);
   Response handle_migrate(const Request& req);
   Response handle_netlist(const Request& req);
-  Response handle_flow_run(const Request& req, std::uint64_t flight_id);
+  Response handle_flow_run(const Request& req, const Flight& flight);
   void finish(Pending p, Response resp, std::uint64_t start_us);
-  std::uint64_t now_us() const;
 
   ServiceOptions opt_;
+  /// Time source for queue-wait/latency metrics and request deadlines.
+  std::shared_ptr<runtime::Clock> clock_;
 
   // --- resident tool models (immutable after construction) ---
   std::map<std::string, sch::Dialect> dialects_;
@@ -220,17 +209,10 @@ class InteropService {
   int in_flight_ = 0;
   bool draining_ = false;
   bool stop_workers_ = false;
-  std::map<std::uint64_t, Flight> flights_;
-  std::uint64_t next_flight_id_ = 1;
 
+  /// Request deadlines; its thread starts only once a timeout is armed.
+  runtime::Watchdog watchdog_;
   std::vector<std::thread> workers_;
-
-  std::mutex wd_mu_;
-  std::condition_variable wd_cv_;
-  bool wd_stop_ = false;
-  std::thread watchdog_;
-
-  std::chrono::steady_clock::time_point epoch_;
 };
 
 /// In-process transport: drives an InteropService through the real wire

@@ -1,6 +1,6 @@
 #include "service/wire.hpp"
 
-#include <cstring>
+#include "base/bytes.hpp"
 
 namespace interop::service {
 
@@ -34,81 +34,15 @@ std::uint64_t Response::counter(std::string_view name,
 
 namespace {
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = char((v >> (8 * i)) & 0xff);
-  out.append(b, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = char((v >> (8 * i)) & 0xff);
-  out.append(b, 8);
-}
-
-void put_str(std::string& out, std::string_view s) {
-  put_u32(out, std::uint32_t(s.size()));
-  out.append(s.data(), s.size());
-}
-
-/// Bounds-checked payload cursor: every getter fails cleanly at the end of
-/// the buffer, so a lying length prefix inside the payload cannot read
-/// out of bounds.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool u32(std::uint32_t* v) {
-    if (data_.size() - pos_ < 4) return fail("truncated u32");
-    std::uint32_t r = 0;
-    for (int i = 0; i < 4; ++i)
-      r |= std::uint32_t(std::uint8_t(data_[pos_ + i])) << (8 * i);
-    pos_ += 4;
-    *v = r;
-    return true;
-  }
-
-  bool u64(std::uint64_t* v) {
-    if (data_.size() - pos_ < 8) return fail("truncated u64");
-    std::uint64_t r = 0;
-    for (int i = 0; i < 8; ++i)
-      r |= std::uint64_t(std::uint8_t(data_[pos_ + i])) << (8 * i);
-    pos_ += 8;
-    *v = r;
-    return true;
-  }
-
-  bool str(std::string* s) {
-    std::uint32_t n = 0;
-    if (!u32(&n)) return fail("truncated string length");
-    if (data_.size() - pos_ < n) return fail("string length exceeds payload");
-    s->assign(data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool done() const { return pos_ == data_.size(); }
-  const std::string& error() const { return error_; }
-
- private:
-  bool fail(const char* why) {
-    if (error_.empty()) error_ = why;
-    return false;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
 /// Wrap an encoded payload in a frame header.
-std::string frame(std::string payload) {
+std::string frame(std::string_view payload) {
   std::string out;
   out.reserve(payload.size() + 12);
-  out.append(kWireMagic, 4);
-  put_u32(out, kWireVersion);
-  put_u32(out, std::uint32_t(payload.size()));
-  out += payload;
+  base::ByteWriter w(out);
+  w.bytes({kWireMagic, 4});
+  w.u32(kWireVersion);
+  w.u32(std::uint32_t(payload.size()));
+  w.bytes(payload);
   return out;
 }
 
@@ -121,44 +55,46 @@ bool set_error(std::string* error, const std::string& why) {
 
 std::string encode_request(const Request& req) {
   std::string p;
-  put_u64(p, req.id);
-  put_u32(p, std::uint32_t(req.type));
-  put_str(p, req.tenant);
-  put_str(p, req.design);
-  put_str(p, req.cell);
-  put_str(p, req.dialect);
-  put_str(p, req.flow);
-  put_u32(p, req.width);
-  put_u32(p, req.latency_us);
-  put_u64(p, req.seed);
-  return frame(std::move(p));
+  base::ByteWriter w(p);
+  w.u64(req.id);
+  w.u32(std::uint32_t(req.type));
+  w.str(req.tenant);
+  w.str(req.design);
+  w.str(req.cell);
+  w.str(req.dialect);
+  w.str(req.flow);
+  w.u32(req.width);
+  w.u32(req.latency_us);
+  w.u64(req.seed);
+  return frame(p);
 }
 
 std::string encode_response(const Response& resp) {
   std::string p;
-  put_u64(p, resp.id);
-  put_u32(p, std::uint32_t(resp.status));
-  put_u64(p, resp.retry_after_us);
-  put_str(p, resp.error);
-  put_str(p, resp.body);
-  put_u32(p, std::uint32_t(resp.counters.size()));
+  base::ByteWriter w(p);
+  w.u64(resp.id);
+  w.u32(std::uint32_t(resp.status));
+  w.u64(resp.retry_after_us);
+  w.str(resp.error);
+  w.str(resp.body);
+  w.u32(std::uint32_t(resp.counters.size()));
   for (const auto& [name, value] : resp.counters) {
-    put_str(p, name);
-    put_u64(p, value);
+    w.str(name);
+    w.u64(value);
   }
-  return frame(std::move(p));
+  return frame(p);
 }
 
 bool decode_request(std::string_view payload, Request* out,
                     std::string* error) {
-  Cursor c(payload);
+  base::ByteReader c(payload);
   Request r;
   std::uint32_t type = 0;
-  if (!c.u64(&r.id) || !c.u32(&type) || !c.str(&r.tenant) ||
-      !c.str(&r.design) || !c.str(&r.cell) || !c.str(&r.dialect) ||
-      !c.str(&r.flow) || !c.u32(&r.width) || !c.u32(&r.latency_us) ||
-      !c.u64(&r.seed))
-    return set_error(error, "request: " + c.error());
+  if (!c.u64(&r.id) || !c.u32(&type) || !c.str(&r.tenant, kMaxFrameBytes) ||
+      !c.str(&r.design, kMaxFrameBytes) || !c.str(&r.cell, kMaxFrameBytes) ||
+      !c.str(&r.dialect, kMaxFrameBytes) || !c.str(&r.flow, kMaxFrameBytes) ||
+      !c.u32(&r.width) || !c.u32(&r.latency_us) || !c.u64(&r.seed))
+    return set_error(error, std::string("request: ") + c.error());
   if (type < std::uint32_t(MsgType::Ping) ||
       type > std::uint32_t(MsgType::Drain))
     return set_error(error, "request: unknown type " + std::to_string(type));
@@ -170,12 +106,13 @@ bool decode_request(std::string_view payload, Request* out,
 
 bool decode_response(std::string_view payload, Response* out,
                      std::string* error) {
-  Cursor c(payload);
+  base::ByteReader c(payload);
   Response r;
   std::uint32_t status = 0, n = 0;
   if (!c.u64(&r.id) || !c.u32(&status) || !c.u64(&r.retry_after_us) ||
-      !c.str(&r.error) || !c.str(&r.body) || !c.u32(&n))
-    return set_error(error, "response: " + c.error());
+      !c.str(&r.error, kMaxFrameBytes) || !c.str(&r.body, kMaxFrameBytes) ||
+      !c.u32(&n))
+    return set_error(error, std::string("response: ") + c.error());
   if (status > std::uint32_t(Status::Rejected))
     return set_error(error,
                      "response: unknown status " + std::to_string(status));
@@ -187,8 +124,8 @@ bool decode_response(std::string_view payload, Response* out,
   for (std::uint32_t i = 0; i < n; ++i) {
     std::string name;
     std::uint64_t value = 0;
-    if (!c.str(&name) || !c.u64(&value))
-      return set_error(error, "response: " + c.error());
+    if (!c.str(&name, kMaxFrameBytes) || !c.u64(&value))
+      return set_error(error, std::string("response: ") + c.error());
     r.counters.emplace_back(std::move(name), value);
   }
   if (!c.done()) return set_error(error, "response: trailing bytes");
@@ -209,39 +146,28 @@ void FrameReader::feed(std::string_view bytes) {
 
 FrameReader::Result FrameReader::next(std::string* payload,
                                       std::string* error) {
-  if (bad_) {
+  auto bad = [&](std::string why) {
+    if (!bad_) bad_reason_ = std::move(why);
+    bad_ = true;
     if (error) *error = bad_reason_;
     return Result::Bad;
-  }
-  std::size_t avail = buf_.size() - pos_;
+  };
+  if (bad_) return bad({});
+  base::ByteReader h(std::string_view(buf_).substr(pos_));
+  std::string_view magic;
+  std::uint32_t version = 0, len = 0;
   // Validate the magic as soon as it is complete so garbage fails fast,
   // before the (attacker-controlled) length is even read.
-  if (avail >= 4 && std::memcmp(buf_.data() + pos_, kWireMagic, 4) != 0) {
-    bad_ = true;
-    bad_reason_ = "bad frame magic";
-    if (error) *error = bad_reason_;
-    return Result::Bad;
-  }
-  if (avail < 12) return Result::NeedMore;
-  const auto* h = reinterpret_cast<const std::uint8_t*>(buf_.data() + pos_);
-  std::uint32_t version = 0, len = 0;
-  for (int i = 0; i < 4; ++i) version |= std::uint32_t(h[4 + i]) << (8 * i);
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t(h[8 + i]) << (8 * i);
-  if (version != kWireVersion) {
-    bad_ = true;
-    bad_reason_ = "unsupported wire version " + std::to_string(version);
-    if (error) *error = bad_reason_;
-    return Result::Bad;
-  }
-  if (len > kMaxFrameBytes) {
-    bad_ = true;
-    bad_reason_ = "oversized frame: " + std::to_string(len) + " bytes";
-    if (error) *error = bad_reason_;
-    return Result::Bad;
-  }
-  if (avail - 12 < len) return Result::NeedMore;
-  payload->assign(buf_.data() + pos_ + 12, len);
-  pos_ += 12 + std::size_t(len);
+  if (h.bytes(4, &magic) && magic != std::string_view(kWireMagic, 4))
+    return bad("bad frame magic");
+  if (!h.u32(&version) || !h.u32(&len)) return Result::NeedMore;
+  if (version != kWireVersion)
+    return bad("unsupported wire version " + std::to_string(version));
+  if (len > kMaxFrameBytes)
+    return bad("oversized frame: " + std::to_string(len) + " bytes");
+  if (h.remaining() < len) return Result::NeedMore;
+  payload->assign(buf_.data() + pos_ + h.pos(), len);
+  pos_ += h.pos() + std::size_t(len);
   return Result::Frame;
 }
 

@@ -1,9 +1,9 @@
 #pragma once
 // The interopd wire protocol: length-prefixed binary frames carrying typed
-// request/response messages, in the same self-describing little-endian
-// idiom as the binary trace form (src/obs/trace.cpp) — fixed-width
-// integers, u32-length-prefixed strings, a 4-byte magic and a version word
-// up front so a foreign reader can identify the stream.
+// request/response messages, encoded with the repo's one byte codec
+// (src/base/bytes.hpp) — fixed-width little-endian integers,
+// u32-length-prefixed strings, a 4-byte magic and a version word up front
+// so a foreign reader can identify the stream.
 //
 // The codec is deliberately standalone: encode/decode work on byte strings
 // and an incremental FrameReader, with no sockets anywhere, so the whole

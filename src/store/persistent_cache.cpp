@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "base/bytes.hpp"
 #include "runtime/hash.hpp"
 
 namespace interop::store {
@@ -16,87 +17,50 @@ constexpr std::uint32_t kEntryVersion = 1;
 /// bulk design data, and a corrupt length must not drive an allocation.
 constexpr std::uint32_t kMaxField = 256u << 20;
 
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+void write_pairs(base::ByteWriter& w, const Pairs& pairs) {
+  w.u32(std::uint32_t(pairs.size()));
+  for (const auto& [first, second] : pairs) {
+    w.str(first);
+    w.str(second);
+  }
 }
 
-void put_str(std::string* out, const std::string& s) {
-  put_u32(out, std::uint32_t(s.size()));
-  *out += s;
+bool read_pairs(base::ByteReader& r, Pairs* out) {
+  std::uint32_t n = 0;
+  if (!r.u32(&n)) return false;
+  out->reserve(std::min(n, 1u << 16));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::string first, second;
+    if (!r.str(&first, kMaxField) || !r.str(&second, kMaxField)) return false;
+    out->emplace_back(std::move(first), std::move(second));
+  }
+  return true;
 }
-
-class Reader {
- public:
-  explicit Reader(std::string_view blob) : blob_(blob) {}
-
-  bool u32(std::uint32_t* v) {
-    if (pos_ + 4 > blob_.size()) return false;
-    std::uint32_t out = 0;
-    for (int i = 0; i < 4; ++i)
-      out |= std::uint32_t(static_cast<unsigned char>(blob_[pos_ + i]))
-             << (8 * i);
-    pos_ += 4;
-    *v = out;
-    return true;
-  }
-
-  bool str(std::string* s) {
-    std::uint32_t len = 0;
-    if (!u32(&len) || len > kMaxField || pos_ + len > blob_.size())
-      return false;
-    s->assign(blob_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool done() const { return pos_ == blob_.size(); }
-
- private:
-  std::string_view blob_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
 std::string encode_cache_entry(const runtime::CacheEntry& entry) {
   std::string out;
-  put_u32(&out, kEntryMagic);
-  put_u32(&out, kEntryVersion);
-  put_u32(&out, std::uint32_t(entry.outputs.size()));
-  for (const auto& [path, content] : entry.outputs) {
-    put_str(&out, path);
-    put_str(&out, content);
-  }
-  put_u32(&out, std::uint32_t(entry.variables.size()));
-  for (const auto& [name, value] : entry.variables) {
-    put_str(&out, name);
-    put_str(&out, value);
-  }
-  put_str(&out, entry.log);
+  base::ByteWriter w(out);
+  w.u32(kEntryMagic);
+  w.u32(kEntryVersion);
+  write_pairs(w, entry.outputs);
+  write_pairs(w, entry.variables);
+  w.str(entry.log);
   return out;
 }
 
 bool decode_cache_entry(std::string_view blob, runtime::CacheEntry* out) {
-  Reader r(blob);
-  std::uint32_t magic = 0, version = 0, n = 0;
+  base::ByteReader r(blob);
+  std::uint32_t magic = 0, version = 0;
   if (!r.u32(&magic) || magic != kEntryMagic) return false;
   if (!r.u32(&version) || version != kEntryVersion) return false;
   runtime::CacheEntry e;
-  if (!r.u32(&n)) return false;
-  e.outputs.reserve(std::min(n, 1u << 16));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string path, content;
-    if (!r.str(&path) || !r.str(&content)) return false;
-    e.outputs.emplace_back(std::move(path), std::move(content));
-  }
-  if (!r.u32(&n)) return false;
-  e.variables.reserve(std::min(n, 1u << 16));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name, value;
-    if (!r.str(&name) || !r.str(&value)) return false;
-    e.variables.emplace_back(std::move(name), std::move(value));
-  }
-  if (!r.str(&e.log) || !r.done()) return false;
+  if (!read_pairs(r, &e.outputs) || !read_pairs(r, &e.variables) ||
+      !r.str(&e.log, kMaxField) || !r.done())
+    return false;
   *out = std::move(e);
   return true;
 }

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <set>
 
+#include "base/bytes.hpp"
 #include "runtime/hash.hpp"
 
 namespace interop::store {
@@ -28,26 +29,13 @@ constexpr std::uint32_t kKindTombstone = 3;
 /// payload_len must become "corrupt record", not a 4 GB allocation.
 constexpr std::uint32_t kMaxPayload = 256u << 20;
 
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= std::uint32_t(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= std::uint64_t(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
+/// The 8-byte header every segment file opens with.
+std::string segment_header() {
+  std::string out;
+  base::ByteWriter w(out);
+  w.bytes({kSegMagic, sizeof(kSegMagic)});
+  w.u32(kSegVersion);
+  return out;
 }
 
 /// Serialize one record: checksum word, then the checksummed tail.
@@ -55,14 +43,16 @@ std::string encode_record(std::uint32_t kind, std::uint64_t key,
                           std::string_view payload) {
   std::string tail;
   tail.reserve(16 + payload.size());
-  put_u32(&tail, kind);
-  put_u32(&tail, std::uint32_t(payload.size()));
-  put_u64(&tail, key);
-  tail.append(payload.data(), payload.size());
+  base::ByteWriter t(tail);
+  t.u32(kind);
+  t.u32(std::uint32_t(payload.size()));
+  t.u64(key);
+  t.bytes(payload);
   std::string rec;
   rec.reserve(8 + tail.size());
-  put_u64(&rec, runtime::fnv1a(tail));
-  rec += tail;
+  base::ByteWriter w(rec);
+  w.u64(runtime::fnv1a(tail));
+  w.bytes(tail);
   return rec;
 }
 
@@ -154,24 +144,12 @@ bool ObjectStore::open(const std::string& dir, StoreOptions opt) {
   }
 
   if (seg_nos.empty()) {
-    cur_segment_ = 1;
-    int fd = ::open(segment_path(1).c_str(), O_RDWR | O_CREAT, 0644);
-    if (fd < 0) {
+    // A fresh store: rotating past "segment 0" creates segment 1.
+    if (!rotate_locked()) {
       error_ = "cannot create " + segment_path(1) + ": " +
                std::strerror(errno);
       return false;
     }
-    std::string header(kSegMagic, sizeof(kSegMagic));
-    put_u32(&header, kSegVersion);
-    if (!write_all(fd, header.data(), header.size(), 0)) {
-      error_ = "cannot write segment header: " + std::string(std::strerror(errno));
-      ::close(fd);
-      return false;
-    }
-    ::fsync(fd);
-    fsync_dir(dir_);
-    segment_fds_[1] = fd;
-    cur_size_ = kSegHeaderBytes;
   } else {
     cur_segment_ = seg_nos.back();
   }
@@ -203,26 +181,25 @@ bool ObjectStore::scan_segment_locked(std::uint64_t seg_no) {
   // Header first; a segment without a whole valid header holds nothing
   // trustworthy and is truncated to empty (recreated header on append).
   std::size_t valid_end = 0;
-  bool header_ok = buf.size() >= kSegHeaderBytes &&
-                   std::memcmp(buf.data(), kSegMagic, 4) == 0 &&
-                   get_u32(buf.data() + 4) == kSegVersion;
-  if (header_ok) {
-    valid_end = kSegHeaderBytes;
-    std::size_t pos = kSegHeaderBytes;
+  base::ByteReader r(buf);
+  std::string_view magic;
+  std::uint32_t version = 0;
+  if (r.bytes(4, &magic) && magic == std::string_view(kSegMagic, 4) &&
+      r.u32(&version) && version == kSegVersion) {
+    valid_end = r.pos();
     for (;;) {
-      if (pos + kRecHeaderBytes > buf.size()) break;  // torn header
-      std::uint64_t checksum = get_u64(buf.data() + pos);
-      std::uint32_t kind = get_u32(buf.data() + pos + 8);
-      std::uint32_t len = get_u32(buf.data() + pos + 12);
-      std::uint64_t key = get_u64(buf.data() + pos + 16);
-      if (len > kMaxPayload || pos + kRecHeaderBytes + len > buf.size())
+      std::uint64_t checksum = 0, key = 0;
+      std::uint32_t kind = 0, len = 0;
+      std::string_view payload;
+      if (!r.u64(&checksum) || !r.u32(&kind) || !r.u32(&len) || !r.u64(&key))
+        break;  // torn header
+      if (len > kMaxPayload || !r.bytes(len, &payload))
         break;  // torn or length-corrupted payload
-      std::string_view tail(buf.data() + pos + 8, 16 + len);
+      std::string_view tail(buf.data() + valid_end + 8, 16 + len);
       if (runtime::fnv1a(tail) != checksum) break;  // bit flip anywhere
-      std::string_view payload(buf.data() + pos + kRecHeaderBytes, len);
       switch (kind) {
         case kKindPut:
-          index_[key] = Location{seg_no, pos, len};
+          index_[key] = Location{seg_no, valid_end, len};
           order_.push_back(key);
           break;
         case kKindRef:
@@ -238,8 +215,7 @@ bool ObjectStore::scan_segment_locked(std::uint64_t seg_no) {
       }
       ++stats_.recovered_records;
       stats_.recovered_bytes += kRecHeaderBytes + len;
-      pos += kRecHeaderBytes + len;
-      valid_end = pos;
+      valid_end = r.pos();
     }
   }
 scan_done:
@@ -286,8 +262,7 @@ bool ObjectStore::rotate_locked() {
   std::uint64_t next = cur_segment_ + 1;
   int fd = ::open(segment_path(next).c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) return false;
-  std::string header(kSegMagic, sizeof(kSegMagic));
-  put_u32(&header, kSegVersion);
+  const std::string header = segment_header();
   if (!write_all(fd, header.data(), header.size(), 0)) {
     ::close(fd);
     return false;
@@ -307,8 +282,7 @@ bool ObjectStore::append_locked(std::uint32_t kind, std::uint64_t key,
 
   // A segment truncated to empty by recovery lost its header too.
   if (cur_size_ < kSegHeaderBytes) {
-    std::string header(kSegMagic, sizeof(kSegMagic));
-    put_u32(&header, kSegVersion);
+    const std::string header = segment_header();
     if (!write_all(fd, header.data(), header.size(), 0)) return false;
     ::fsync(fd);
     cur_size_ = kSegHeaderBytes;
@@ -383,10 +357,12 @@ bool ObjectStore::read_record_locked(const Location& loc,
   if (it == segment_fds_.end()) return false;
   std::string buf(kRecHeaderBytes + loc.payload_len, '\0');
   if (!read_all(it->second, buf.data(), buf.size(), loc.offset)) return false;
-  std::uint64_t checksum = get_u64(buf.data());
-  std::uint64_t key = get_u64(buf.data() + 16);
+  base::ByteReader r(buf);
+  std::uint64_t checksum = 0, key = 0;
+  std::uint32_t kind = 0, len = 0;
+  bool whole = r.u64(&checksum) && r.u32(&kind) && r.u32(&len) && r.u64(&key);
   std::string_view tail(buf.data() + 8, 16 + loc.payload_len);
-  if (runtime::fnv1a(tail) != checksum || key != expect_key) {
+  if (!whole || runtime::fnv1a(tail) != checksum || key != expect_key) {
     ++stats_.read_checksum_failures;
     return false;
   }
@@ -482,12 +458,16 @@ bool ObjectStore::compact() {
   const std::string path = segment_path(new_seg);
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  std::string header(kSegMagic, sizeof(kSegMagic));
-  put_u32(&header, kSegVersion);
+  const std::string header = segment_header();
   if (!write_all(fd, header.data(), header.size(), 0)) {
     ::close(fd);
     return false;
   }
+  auto abandon = [&] {
+    ::close(fd);
+    ::unlink(path.c_str());
+    return false;
+  };
   std::uint64_t off = kSegHeaderBytes;
   std::map<std::uint64_t, Location> new_index;
   std::set<std::uint64_t> seen;
@@ -496,35 +476,19 @@ bool ObjectStore::compact() {
     auto it = index_.find(key);
     if (it == index_.end() || !seen.insert(key).second) continue;
     std::string payload;
-    if (!read_record_locked(it->second, key, &payload)) {
-      ::close(fd);
-      ::unlink(path.c_str());
-      return false;
-    }
+    if (!read_record_locked(it->second, key, &payload)) return abandon();
     std::string rec = encode_record(kKindPut, key, payload);
-    if (!write_all(fd, rec.data(), rec.size(), off)) {
-      ::close(fd);
-      ::unlink(path.c_str());
-      return false;
-    }
+    if (!write_all(fd, rec.data(), rec.size(), off)) return abandon();
     new_index[key] = Location{new_seg, off, std::uint32_t(payload.size())};
     new_order.push_back(key);
     off += rec.size();
   }
   for (const auto& [name, key] : refs_) {
     std::string rec = encode_record(kKindRef, key, name);
-    if (!write_all(fd, rec.data(), rec.size(), off)) {
-      ::close(fd);
-      ::unlink(path.c_str());
-      return false;
-    }
+    if (!write_all(fd, rec.data(), rec.size(), off)) return abandon();
     off += rec.size();
   }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(path.c_str());
-    return false;
-  }
+  if (::fsync(fd) != 0) return abandon();
   fsync_dir(dir_);
 
   // Commit: drop the old segments. Death between these unlinks leaves a

@@ -22,10 +22,7 @@
 //
 // Usage:
 //   interopd serve  --socket PATH [--workers N] [--flow-workers N]
-//                   [--queue N] [--timeout-us N]
-//                   [--flow-max-batch N] [--flow-batch-threshold-us N]
-//                   [--no-flow-stealing] [--store DIR]
-//                   [--al-engine bytecode|tree-walker]
+//                   [--queue N] [--timeout-us N] [--store DIR]
 //   interopd client --socket PATH ping|metrics|drain
 //   interopd client --socket PATH migrate [--seed N] [--tenant T]
 //   interopd client --socket PATH netlist [--seed N] [--dialect D] [--tenant T]
@@ -311,9 +308,7 @@ void usage() {
       << "usage:\n"
       << "  interopd serve  --socket PATH [--workers N] [--flow-workers N]"
          " [--queue N] [--timeout-us N]\n"
-      << "                  [--flow-max-batch N] [--flow-batch-threshold-us N]"
-         " [--no-flow-stealing] [--store DIR]\n"
-      << "                  [--al-engine bytecode|tree-walker]\n"
+      << "                  [--store DIR]\n"
       << "  interopd client --socket PATH ping|metrics|drain\n"
       << "  interopd client --socket PATH migrate [--seed N] [--tenant T]\n"
       << "  interopd client --socket PATH netlist [--seed N] [--dialect D]"
@@ -347,18 +342,7 @@ int main(int argc, char** argv) {
     if (args[i] == "--socket") socket_path = next("--socket");
     else if (args[i] == "--workers") opt.workers = parse_int(next("--workers"), opt.workers);
     else if (args[i] == "--flow-workers") opt.flow_workers = parse_int(next("--flow-workers"), opt.flow_workers);
-    else if (args[i] == "--flow-max-batch") opt.flow_max_batch = std::size_t(parse_int(next("--flow-max-batch"), int(opt.flow_max_batch)));
-    else if (args[i] == "--flow-batch-threshold-us") opt.flow_batch_threshold_us = parse_u64(next("--flow-batch-threshold-us"), 0);
-    else if (args[i] == "--no-flow-stealing") opt.flow_work_stealing = false;
     else if (args[i] == "--store") opt.store_dir = next("--store");
-    else if (args[i] == "--al-engine") {
-      try {
-        opt.al_engine = al::parse_engine(next("--al-engine"));
-      } catch (const al::AlError& e) {
-        std::cerr << "interopd: " << e.what() << "\n";
-        return 2;
-      }
-    }
     else if (args[i] == "--queue") opt.queue_limit = std::size_t(parse_int(next("--queue"), int(opt.queue_limit)));
     else if (args[i] == "--timeout-us") opt.request_timeout_us = parse_u64(next("--timeout-us"), 0);
     else if (args[i] == "--seed") seed = parse_u64(next("--seed"), 1);
