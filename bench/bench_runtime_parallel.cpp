@@ -135,7 +135,7 @@ struct WorkloadResult {
   double busy_ms = 0;       ///< sum of step spans (journal busy_us)
   double utilization = 0;   ///< busy / (wall * workers)
   int batches = 0;          ///< scheduler claims (cold run)
-  int steals = 0;           ///< batches taken from another worker's deque
+  int steals = 0;           ///< batches run by a worker that did not claim them
   int fastpath = 0;         ///< whole-frontier serial claims
   int warm_executed = -1;
   int warm_cache_hits = 0;

@@ -84,7 +84,7 @@ check_json "$tmp" "$obs_bin"
 cp "$tmp" "$obs_out"
 echo "wrote $obs_out"
 
-# Scheduler bench: batched/work-stealing executor vs the serial engine —
+# Scheduler bench: batched executor vs the serial engine —
 # per-workload speedup, worker utilization (busy/wall), batch/steal/fastpath
 # counts, warm-cache replay (self-checking; see EXPERIMENTS.md §P2). The
 # fanout journal dump is for ad-hoc inspection and is stripped from the

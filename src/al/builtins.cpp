@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "al/interp.hpp"
 #include "al/number.hpp"
@@ -13,6 +14,8 @@
 namespace interop::al {
 
 namespace {
+
+constexpr std::int64_t kIntMin = std::numeric_limits<std::int64_t>::min();
 
 void expect_arity(const std::vector<Value>& args, std::size_t n,
                   const char* name) {
@@ -33,14 +36,20 @@ bool all_ints(const std::vector<Value>& args) {
                      [](const Value& v) { return v.is_int(); });
 }
 
+[[noreturn]] void overflow(const char* name) {
+  throw AlError(std::string(name) + ": integer overflow");
+}
+
+/// Integer folds are checked: `fi` stores x op y and returns true when the
+/// exact result does not fit in int64 (a/L integers never wrap).
 Value numeric_fold(std::vector<Value>& args, const char* name,
-                   std::int64_t (*fi)(std::int64_t, std::int64_t),
+                   bool (*fi)(std::int64_t, std::int64_t, std::int64_t*),
                    double (*fd)(double, double)) {
   expect_min_arity(args, 2, name);
   if (all_ints(args)) {
     std::int64_t acc = args[0].as_int();
     for (std::size_t i = 1; i < args.size(); ++i)
-      acc = fi(acc, args[i].as_int());
+      if (fi(acc, args[i].as_int(), &acc)) overflow(name);
     return Value(acc);
   }
   double acc = args[0].as_number();
@@ -73,28 +82,43 @@ void install_builtins(Interpreter& interp) {
     if (a.empty()) return Value(std::int64_t(0));
     if (a.size() == 1) return a[0];
     return numeric_fold(
-        a, "+", [](std::int64_t x, std::int64_t y) { return x + y; },
+        a, "+",
+        [](std::int64_t x, std::int64_t y, std::int64_t* r) {
+          return __builtin_add_overflow(x, y, r);
+        },
         [](double x, double y) { return x + y; });
   });
   interp.register_builtin("-", [](std::vector<Value>& a) {
     expect_min_arity(a, 1, "-");
-    if (a.size() == 1)
-      return a[0].is_int() ? Value(-a[0].as_int()) : Value(-a[0].as_number());
+    if (a.size() == 1 && a[0].is_int()) {
+      if (a[0].as_int() == kIntMin) overflow("-");
+      return Value(-a[0].as_int());
+    }
+    if (a.size() == 1) return Value(-a[0].as_number());
     return numeric_fold(
-        a, "-", [](std::int64_t x, std::int64_t y) { return x - y; },
+        a, "-",
+        [](std::int64_t x, std::int64_t y, std::int64_t* r) {
+          return __builtin_sub_overflow(x, y, r);
+        },
         [](double x, double y) { return x - y; });
   });
   interp.register_builtin("*", [](std::vector<Value>& a) {
     if (a.empty()) return Value(std::int64_t(1));
     if (a.size() == 1) return a[0];
     return numeric_fold(
-        a, "*", [](std::int64_t x, std::int64_t y) { return x * y; },
+        a, "*",
+        [](std::int64_t x, std::int64_t y, std::int64_t* r) {
+          return __builtin_mul_overflow(x, y, r);
+        },
         [](double x, double y) { return x * y; });
   });
   interp.register_builtin("/", [](std::vector<Value>& a) {
     expect_arity(a, 2, "/");
     double den = a[1].as_number();
     if (den == 0.0) throw AlError("/: division by zero");
+    if (a[0].is_int() && a[1].is_int() && a[0].as_int() == kIntMin &&
+        a[1].as_int() == -1)
+      overflow("/");
     if (a[0].is_int() && a[1].is_int() &&
         a[0].as_int() % a[1].as_int() == 0)
       return Value(a[0].as_int() / a[1].as_int());
@@ -105,21 +129,33 @@ void install_builtins(Interpreter& interp) {
     if (!a[0].is_int() || !a[1].is_int())
       throw AlError("mod: expects integers");
     if (a[1].as_int() == 0) throw AlError("mod: division by zero");
+    if (a[0].as_int() == kIntMin && a[1].as_int() == -1) overflow("mod");
     return Value(a[0].as_int() % a[1].as_int());
   });
   interp.register_builtin("abs", [](std::vector<Value>& a) {
     expect_arity(a, 1, "abs");
-    if (a[0].is_int()) return Value(std::abs(a[0].as_int()));
+    if (a[0].is_int()) {
+      if (a[0].as_int() == kIntMin) overflow("abs");
+      return Value(std::abs(a[0].as_int()));
+    }
     return Value(std::fabs(a[0].as_number()));
   });
   interp.register_builtin("min", [](std::vector<Value>& a) {
     return numeric_fold(
-        a, "min", [](std::int64_t x, std::int64_t y) { return std::min(x, y); },
+        a, "min",
+        [](std::int64_t x, std::int64_t y, std::int64_t* r) {
+          *r = std::min(x, y);
+          return false;
+        },
         [](double x, double y) { return std::min(x, y); });
   });
   interp.register_builtin("max", [](std::vector<Value>& a) {
     return numeric_fold(
-        a, "max", [](std::int64_t x, std::int64_t y) { return std::max(x, y); },
+        a, "max",
+        [](std::int64_t x, std::int64_t y, std::int64_t* r) {
+          *r = std::max(x, y);
+          return false;
+        },
         [](double x, double y) { return std::max(x, y); });
   });
   interp.register_builtin("floor", [](std::vector<Value>& a) {

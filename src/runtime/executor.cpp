@@ -22,8 +22,7 @@ ParallelExecutor::ParallelExecutor(
     wf::FlowTemplate main, std::map<std::string, wf::FlowTemplate> subflows,
     std::unique_ptr<wf::DataManager> data, ExecutorOptions options,
     std::shared_ptr<ResultCache> cache)
-    : engine_(std::move(main), std::move(subflows), std::move(data),
-              options.role),
+    : engine_(std::move(main), std::move(subflows), std::move(data)),
       options_(options),
       cache_(std::move(cache)),
       clock_(std::make_shared<SteadyClock>()),
@@ -69,7 +68,6 @@ std::uint64_t ParallelExecutor::hist_p50_locked() const {
 }
 
 std::uint64_t ParallelExecutor::batch_threshold_locked() const {
-  if (options_.batch_threshold_us > 0) return options_.batch_threshold_us;
   if (cost_hist_.count() == 0) return 0;  // no samples: nothing batches yet
   std::uint64_t p50 = hist_p50_locked();
   if (p50 >= kAutoThresholdCapUs / 4) return kAutoThresholdCapUs;
@@ -89,7 +87,7 @@ std::uint64_t ParallelExecutor::estimate_locked(const std::string& name) const {
 
 // --------------------------------------------------------- batch forming
 
-void ParallelExecutor::form_batches_locked(std::vector<Batch>* out) {
+void ParallelExecutor::form_batches_locked(int worker_id) {
   if (stop_) return;
   std::vector<std::string> runnable = engine_.runnable_steps();
   m_runnable_.set(std::int64_t(runnable.size()));
@@ -128,9 +126,10 @@ void ParallelExecutor::form_batches_locked(std::vector<Batch>* out) {
     }
   }
   // Serial fast path: the whole remaining frontier is sub-threshold and no
-  // other batch exists anywhere — claim it as ONE uncapped batch and keep
-  // it on the claiming worker. A scheduling-bound flow proceeds wave by
-  // wave with one lock acquisition per wave; the pool stays parked.
+  // other batch exists anywhere — claim it as ONE uncapped batch. Being the
+  // only queued batch, the claiming worker pops it in this same lock
+  // section, so a scheduling-bound flow proceeds wave by wave with one lock
+  // acquisition per wave while the pool stays parked.
   // max_batch == 1 promises strictly per-step claims, so it disables the
   // fast path too (the differential tests rely on that).
   bool fastpath = all_cheap && live_batches_ == 0 && options_.max_batch > 1;
@@ -140,11 +139,13 @@ void ParallelExecutor::form_batches_locked(std::vector<Batch>* out) {
   for (const wf::Engine::StepClaim& c : claims) ++scheduled_[c.name];
 
   int cap = std::max(1, options_.max_batch);
+  std::size_t first = ready_.size();
   Batch cur;
   auto flush = [&] {
     if (cur.items.empty()) return;
     cur.id = ++next_batch_id_;
-    out->push_back(std::move(cur));
+    cur.claimer = worker_id;
+    ready_.push_back(std::move(cur));
     cur = Batch{};
   };
   for (wf::Engine::StepClaim& c : claims) {
@@ -175,41 +176,11 @@ void ParallelExecutor::form_batches_locked(std::vector<Batch>* out) {
     m_fastpath_.add();
   }
   flush();
-  stats_.batches += int(out->size());
-  live_batches_ += int(out->size());
-  for (const Batch& b : *out)
-    m_batch_size_.observe(std::uint64_t(b.items.size()));
-}
-
-// ------------------------------------------------------- deques/stealing
-
-bool ParallelExecutor::pop_own(int worker_id, Batch* out) {
-  WorkerDeque& q = *deques_[std::size_t(worker_id)];
-  std::lock_guard<std::mutex> lock(q.mu);
-  if (q.dq.empty()) return false;
-  *out = std::move(q.dq.back());
-  q.dq.pop_back();
-  return true;
-}
-
-bool ParallelExecutor::steal_from_victim(int worker_id, Batch* out) {
-  int n = int(deques_.size());
-  for (int k = 1; k < n; ++k) {
-    WorkerDeque& q = *deques_[std::size_t((worker_id + k) % n)];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (q.dq.empty()) continue;
-    *out = std::move(q.dq.front());
-    q.dq.pop_front();
-    stolen_.fetch_add(1, std::memory_order_relaxed);
-    m_steals_.add();
-    if (obs::armed())
-      obs::instant("sched", "steal",
-                   "\"thief\":" + std::to_string(worker_id) + ",\"victim\":" +
-                       std::to_string((worker_id + k) % n) +
-                       ",\"batch\":" + std::to_string(out->id));
-    return true;
-  }
-  return false;
+  int formed = int(ready_.size() - first);
+  stats_.batches += formed;
+  live_batches_ += formed;
+  for (std::size_t i = first; i < ready_.size(); ++i)
+    m_batch_size_.observe(std::uint64_t(ready_[i].items.size()));
 }
 
 // --------------------------------------------------------------- watchdog
@@ -459,12 +430,45 @@ void ParallelExecutor::apply_outcome_locked(ItemOutcome& o) {
 
 // ----------------------------------------------------------- worker loop
 
-void ParallelExecutor::execute_batch(Batch batch, int worker_id) {
+void ParallelExecutor::worker_loop(int worker_id) {
+  // The worker holds mu_ except while it runs a batch's steps.
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    busy_workers_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::armed())
-      obs::counter("runtime", "workers.busy",
-                   busy_workers_.load(std::memory_order_relaxed));
+    // Idle pass: nothing queued and nothing in flight, so claim the
+    // frontier.
+    if (ready_.empty() && live_batches_ == 0) form_batches_locked(worker_id);
+    if (ready_.empty()) {
+      if (live_batches_ > 0) {
+        cv_.wait(lock);
+        continue;
+      }
+      // Nothing runnable, nothing queued, nothing in flight: the flow is
+      // drained (or blocked on failures/roles, exactly as serial run_all()
+      // leaves it) — or a stop finished draining.
+      stop_ = true;
+      lock.unlock();
+      cv_.notify_all();
+      return;
+    }
+
+    Batch batch = std::move(ready_.front());
+    ready_.pop_front();
+    if (batch.claimer != worker_id) {
+      // Handed off: another worker's lock section formed this batch.
+      ++stats_.steals;
+      m_steals_.add();
+      if (obs::armed())
+        obs::instant("sched", "steal",
+                     "\"thief\":" + std::to_string(worker_id) +
+                         ",\"victim\":" + std::to_string(batch.claimer) +
+                         ",\"batch\":" + std::to_string(batch.id));
+    }
+    ++busy_workers_;
+    if (obs::armed()) obs::counter("runtime", "workers.busy", busy_workers_);
+    bool more = !ready_.empty();
+    lock.unlock();
+    if (more) cv_.notify_all();
+
     std::uint64_t bspan = 0;
     if (obs::armed()) {
       bspan = obs::next_span_id();
@@ -473,7 +477,6 @@ void ParallelExecutor::execute_batch(Batch batch, int worker_id) {
       if (batch.fastpath) args += ",\"fastpath\":true";
       obs::begin_span("sched", "batch", bspan, std::move(args));
     }
-
     std::vector<ItemOutcome> done;
     done.reserve(batch.items.size());
     for (BatchItem& item : batch.items)
@@ -484,83 +487,14 @@ void ParallelExecutor::execute_batch(Batch batch, int worker_id) {
 
     // One lock section merges the whole batch: per-item apply (with the
     // stale-input rework check each), a single readiness refresh, then
-    // claim whatever the applies made runnable. The first new batch chains
-    // on this worker (LIFO locality); the rest land on its deque for
-    // thieves.
-    Batch next;
-    bool have_next = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (ItemOutcome& o : done) apply_outcome_locked(o);
-      engine_.refresh_readiness();
-      --live_batches_;
-      std::vector<Batch> fresh;
-      form_batches_locked(&fresh);
-      if (!fresh.empty()) {
-        have_next = true;
-        next = std::move(fresh.front());
-        if (fresh.size() > 1) {
-          WorkerDeque& q = *deques_[std::size_t(worker_id)];
-          std::lock_guard<std::mutex> qlock(q.mu);
-          for (std::size_t i = 1; i < fresh.size(); ++i)
-            q.dq.push_back(std::move(fresh[i]));
-        }
-      }
-    }
-    cv_.notify_all();  // new batches to steal, or termination to observe
-    busy_workers_.fetch_sub(1, std::memory_order_relaxed);
-    if (obs::armed())
-      obs::counter("runtime", "workers.busy",
-                   busy_workers_.load(std::memory_order_relaxed));
-    if (!have_next) return;
-    batch = std::move(next);
-  }
-}
-
-void ParallelExecutor::worker_loop(int worker_id) {
-  for (;;) {
-    Batch batch;
-    if (pop_own(worker_id, &batch) ||
-        steal_from_victim(worker_id, &batch)) {
-      execute_batch(std::move(batch), worker_id);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    // Re-scan under mu_: deque pushes happen while holding mu_, so a batch
-    // cannot appear between this scan and the wait below.
-    if (pop_own(worker_id, &batch) ||
-        steal_from_victim(worker_id, &batch)) {
-      lock.unlock();
-      execute_batch(std::move(batch), worker_id);
-      continue;
-    }
-    if (live_batches_ == 0) {
-      if (!stop_) {
-        std::vector<Batch> fresh;
-        form_batches_locked(&fresh);
-        if (!fresh.empty()) {
-          batch = std::move(fresh.front());
-          if (fresh.size() > 1) {
-            WorkerDeque& q = *deques_[std::size_t(worker_id)];
-            std::lock_guard<std::mutex> qlock(q.mu);
-            for (std::size_t i = 1; i < fresh.size(); ++i)
-              q.dq.push_back(std::move(fresh[i]));
-          }
-          lock.unlock();
-          cv_.notify_all();
-          execute_batch(std::move(batch), worker_id);
-          continue;
-        }
-      }
-      // Nothing runnable, nothing queued, nothing in flight: the flow is
-      // drained (or blocked on failures/roles, exactly as serial run_all()
-      // leaves it) — or a stop finished draining.
-      stop_ = true;
-      lock.unlock();
-      cv_.notify_all();
-      return;
-    }
-    cv_.wait(lock);
+    // claim whatever the applies made runnable.
+    lock.lock();
+    for (ItemOutcome& o : done) apply_outcome_locked(o);
+    engine_.refresh_readiness();
+    --live_batches_;
+    --busy_workers_;
+    if (obs::armed()) obs::counter("runtime", "workers.busy", busy_workers_);
+    form_batches_locked(worker_id);
   }
 }
 
@@ -579,17 +513,13 @@ RunStats ParallelExecutor::run_impl(
   scheduled_.clear();
   stop_ = false;
   stop_requested_.store(false, std::memory_order_relaxed);
-  busy_workers_.store(0, std::memory_order_relaxed);
-  stolen_.store(0, std::memory_order_relaxed);
+  busy_workers_ = 0;
   live_batches_ = 0;
+  ready_.clear();
   next_batch_id_ = 0;
   resume_complete_ = journaled_complete;
 
   int n = std::max(1, options_.workers);
-  deques_.clear();
-  deques_.reserve(std::size_t(n));
-  for (int i = 0; i < n; ++i)
-    deques_.push_back(std::make_unique<WorkerDeque>());
 
   obs::Span run_span("runtime", journaled_complete ? "resume_run" : "run",
                      "\"workers\":" + std::to_string(options_.workers));
@@ -607,7 +537,6 @@ RunStats ParallelExecutor::run_impl(
   journal_.end_run();
   resume_complete_ = nullptr;
 
-  stats_.steals = stolen_.load(std::memory_order_relaxed);
   stats_.wall_us = journal_.wall_us();
   stats_.stopped = stop_requested_.load(std::memory_order_relaxed);
   if (stats_.error.empty()) {

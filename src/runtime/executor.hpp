@@ -5,25 +5,24 @@
 // re-executing) and the RunJournal (per-attempt timing, cache hit/miss,
 // worker id, critical path — exported as JSON).
 //
-// Scheduling model: one mutex (mu_) still guards all engine state — step
-// states, the data store, variables, tool sessions, metrics — but workers
-// no longer take it once per step. Claims are made in *batches*: whenever
-// a worker holds mu_ (applying results, or finding the frontier on an idle
-// pass), it claims every runnable step at once and partitions the claims
-// into batches — sub-threshold steps coalesce up to max_batch per batch,
+// Scheduling model: one mutex (mu_) guards all engine state — step
+// states, the data store, variables, tool sessions, metrics — and the one
+// FIFO ready queue of claimed batches. A worker holds mu_ except while it
+// runs a batch's steps. In one lock section it applies the batch it just
+// ran, claims every runnable step at once, partitions the claims into
+// batches and pops the next batch from the queue; with nothing to pop it
+// waits on cv_. Sub-threshold steps coalesce up to max_batch per batch,
 // expensive steps get a batch of their own. The cost threshold is tuned
 // online from a per-run log2 histogram of observed step durations (see
 // src/obs/metrics.hpp), so a flow of 4 µs bookkeeping steps batches wide
-// while 3 ms tool steps keep per-step claims and full overlap. Batches
-// land on per-worker deques: a worker drains its own deque LIFO (locality)
-// and steals FIFO from victims (oldest, largest-frontier work first).
-// Results are applied per batch under one mu_ acquisition, preserving the
-// engine's stale-input rework check per step. When the whole remaining
-// frontier is sub-threshold and nothing else is in flight, the *serial
-// fast path* claims the entire frontier as one batch and runs it on the
-// claiming worker — a scheduling-bound flow degrades to serial execution
-// with one lock acquisition per frontier wave instead of 7%-utilization
-// lock ping-pong (EXPERIMENTS.md §O1/§P2).
+// while 3 ms tool steps keep per-step claims and full overlap. Results
+// are applied per batch, preserving the engine's stale-input rework check
+// per step. When the whole remaining frontier is sub-threshold and nothing
+// else is in flight, the *serial fast path* claims the entire frontier as
+// one batch; being the only queued batch, the claiming worker pops it
+// itself — a scheduling-bound flow degrades to serial execution with one
+// lock acquisition per frontier wave instead of 7%-utilization lock
+// ping-pong (EXPERIMENTS.md §O1/§P2).
 //
 // Fault tolerance (see fault.hpp/retry.hpp): each claimed step runs an
 // attempt loop — a failed or timed-out attempt is retried in place (the
@@ -63,7 +62,6 @@ namespace interop::runtime {
 
 struct ExecutorOptions {
   int workers = 4;
-  std::string role = "engineer";
   /// Per-step scheduling bound per run(): the parallel analogue of
   /// Engine::run_all()'s livelock detector.
   int livelock_limit = 20;
@@ -74,14 +72,6 @@ struct ExecutorOptions {
   /// Most sub-threshold steps coalesced into one claim. 1 restores the
   /// legacy per-step claim/apply cadence (every batch is a single step).
   int max_batch = 16;
-  /// Steps whose estimated cost is at or below this many microseconds are
-  /// batchable. 0 (default) tunes the threshold online from the observed
-  /// per-step-cost log2 histogram: min(4 × p50, 32 µs) — the cap keeps
-  /// batching strictly below real tool latencies, where coalescing would
-  /// serialize overlap to save mere lock traffic. Steps never seen before
-  /// inherit the p50 estimate; with no samples at all nothing batches, so
-  /// a cold run of expensive steps keeps full overlap.
-  std::uint64_t batch_threshold_us = 0;
 };
 
 struct RunStats {
@@ -94,7 +84,7 @@ struct RunStats {
   int faults_injected = 0;
   int timeouts = 0;      ///< attempts cancelled by the watchdog
   int batches = 0;       ///< scheduler batches formed (claim lock sections)
-  int steals = 0;        ///< batches taken from another worker's deque
+  int steals = 0;        ///< batches run by a worker that did not claim them
   int fastpath = 0;      ///< whole-frontier serial fast-path batches
   bool livelock = false;
   bool stopped = false;  ///< request_stop() ended the run early
@@ -167,16 +157,9 @@ class ParallelExecutor {
   /// worker executes them back-to-back and applies them under one more.
   struct Batch {
     std::uint64_t id = 0;
+    int claimer = 0;  ///< worker whose lock section formed the batch
     bool fastpath = false;
     std::vector<BatchItem> items;
-  };
-  /// Per-worker ready deque. Own work pops LIFO (back), thieves take FIFO
-  /// (front). Guarded by its own mutex, always acquired *after* mu_ when
-  /// both are held (pushes happen under mu_ so sleepers re-scanning under
-  /// mu_ cannot miss work).
-  struct WorkerDeque {
-    std::mutex mu;
-    std::deque<Batch> dq;
   };
   /// A finished batch item waiting for the batched apply.
   struct ItemOutcome {
@@ -193,19 +176,20 @@ class ParallelExecutor {
   /// Estimated p50 step cost from the local log2 histogram (bucket upper
   /// bound of the median sample). Call with mu_ held.
   std::uint64_t hist_p50_locked() const;
-  /// Current batchable-cost bound in µs (options override or online tune).
+  /// Current batchable-cost bound in µs, tuned online from the observed
+  /// per-step-cost log2 histogram: min(4 × p50, 32 µs) — the cap keeps
+  /// batching strictly below real tool latencies, where coalescing would
+  /// serialize overlap to save mere lock traffic. With no samples at all
+  /// nothing batches, so a cold run of expensive steps keeps full overlap.
   std::uint64_t batch_threshold_locked() const;
   /// Estimated cost of one step in µs (last observation, else p50, else
   /// "unknown" = UINT64_MAX which never batches).
   std::uint64_t estimate_locked(const std::string& name) const;
-  /// Claim the whole runnable frontier and partition it into batches.
-  /// Detects livelock (sets stats_/stop_) like the serial engine.
-  void form_batches_locked(std::vector<Batch>* out);
-  bool pop_own(int worker_id, Batch* out);
-  bool steal_from_victim(int worker_id, Batch* out);
+  /// Claim the whole runnable frontier, partition it into batches and
+  /// queue them on ready_. Detects livelock (sets stats_/stop_) like the
+  /// serial engine.
+  void form_batches_locked(int worker_id);
   void worker_loop(int worker_id);
-  /// Execute `batch` and chain into successor batches its applies uncover.
-  void execute_batch(Batch batch, int worker_id);
   /// Replay one cached item (no faults, no retries); called unlocked.
   ItemOutcome replay_item(BatchItem item, int worker_id,
                           std::uint64_t batch_id);
@@ -228,20 +212,19 @@ class ParallelExecutor {
 
   std::mutex mu_;  ///< the engine's concurrency guard during run()
   std::condition_variable cv_;
+  std::deque<Batch> ready_;     ///< claimed batches not yet popped (FIFO)
   bool stop_ = false;           ///< no new claims; drain and exit
   int live_batches_ = 0;        ///< formed but not yet fully applied
+  int busy_workers_ = 0;        ///< executing a batch (obs gauge)
   std::uint64_t next_batch_id_ = 0;
   /// Read unlocked by attempt loops deciding whether to keep retrying.
   std::atomic<bool> stop_requested_{false};
-  std::atomic<int> busy_workers_{0};  ///< executing a batch (obs gauge)
-  std::atomic<int> stolen_{0};        ///< steals this run (merged to stats_)
   std::map<std::string, int> scheduled_;  ///< per-step claims, this run
   /// Last observed duration per step name (µs), feeding batch estimates.
   std::map<std::string, std::uint64_t> cost_est_us_;
   /// Per-executor log2 histogram of observed step costs (threshold tuning
   /// stays local: a busy process-wide histogram must not skew this run).
   obs::MetricHistogram cost_hist_;
-  std::vector<std::unique_ptr<WorkerDeque>> deques_;
   const std::set<std::string>* resume_complete_ = nullptr;
   RunStats stats_;
 

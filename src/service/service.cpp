@@ -19,6 +19,9 @@ namespace interop::service {
 
 namespace {
 
+/// Lock shards of the resident result cache.
+constexpr int kCacheShards = 16;
+
 /// One modeled tool run: a fixed invocation latency plus deterministic
 /// content derived from the inputs, so identical specs hash to identical
 /// cache keys no matter which tenant submits them.
@@ -118,10 +121,8 @@ InteropService::InteropService(ServiceOptions opt)
   // and store_error().
   if (!opt_.store_dir.empty()) {
     auto persistent = std::make_shared<store::PersistentResultCache>(
-        opt_.cache_entries, std::max(1, opt_.cache_shards));
-    store::StoreOptions store_opt;
-    store_opt.segment_bytes = opt_.store_segment_bytes;
-    if (persistent->open(opt_.store_dir, store_opt)) {
+        opt_.cache_entries, kCacheShards);
+    if (persistent->open(opt_.store_dir)) {
       persistent_cache_ = persistent;
       cache_ = persistent;
       metrics_.gauge("service.store.recovered")
@@ -132,8 +133,8 @@ InteropService::InteropService(ServiceOptions opt)
     }
   }
   if (!cache_)
-    cache_ = std::make_shared<runtime::ResultCache>(
-        opt_.cache_entries, std::max(1, opt_.cache_shards));
+    cache_ = std::make_shared<runtime::ResultCache>(opt_.cache_entries,
+                                                    kCacheShards);
 
   // Resident tool models: built once, shared read-only by every request.
   dialects_["viewlogic"] = sch::viewlogic_dialect();

@@ -67,9 +67,8 @@ struct ServiceOptions {
   /// Cooperative per-request timeout; 0 arms no watchdog (and starts no
   /// watchdog thread).
   std::uint64_t request_timeout_us = 0;
-  /// Resident ResultCache bound (0 = unbounded) and shard count.
+  /// Resident ResultCache bound (0 = unbounded).
   std::size_t cache_entries = 0;
-  int cache_shards = 16;
   /// When non-empty, back the resident cache with a crash-consistent
   /// ObjectStore at this directory (store::PersistentResultCache): every
   /// cached step effect is WAL-durable before it is visible, and a
@@ -77,8 +76,6 @@ struct ServiceOptions {
   /// otherwise have destroyed. An unusable directory degrades to the
   /// plain in-memory cache (counted in service.store.open_failures).
   std::string store_dir;
-  /// Segment rotation size for that store.
-  std::uint64_t store_segment_bytes = 64ull << 20;
 };
 
 class InteropService {

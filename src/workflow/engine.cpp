@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
-#include <limits>
 
 #include "obs/trace.hpp"
 
@@ -374,10 +373,6 @@ void Engine::try_finish(const std::string& name) {
 }
 
 std::vector<std::string> Engine::runnable_steps() const {
-  return runnable_steps(std::numeric_limits<std::size_t>::max());
-}
-
-std::vector<std::string> Engine::runnable_steps(std::size_t max_n) const {
   std::vector<std::pair<int, const std::string*>> ranked;
   for (const auto& [name, status] : instance_.steps) {
     if (status.state != StepState::Ready &&
@@ -387,18 +382,12 @@ std::vector<std::string> Engine::runnable_steps(std::size_t max_n) const {
       continue;
     ranked.emplace_back(status.rank, &name);
   }
-  auto by_rank_name = [](const std::pair<int, const std::string*>& a,
-                         const std::pair<int, const std::string*>& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return *a.second < *b.second;
-  };
-  if (max_n < ranked.size()) {
-    std::partial_sort(ranked.begin(), ranked.begin() + std::ptrdiff_t(max_n),
-                      ranked.end(), by_rank_name);
-    ranked.resize(max_n);
-  } else {
-    std::sort(ranked.begin(), ranked.end(), by_rank_name);
-  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const std::pair<int, const std::string*>& a,
+               const std::pair<int, const std::string*>& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return *a.second < *b.second;
+            });
   std::vector<std::string> out;
   out.reserve(ranked.size());
   for (auto& [rank, name] : ranked) out.push_back(*name);

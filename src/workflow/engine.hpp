@@ -85,8 +85,6 @@ class Engine {
   /// Steps currently claimable: Ready or NeedsRerun, role-permitted,
   /// ordered by topological rank (upstream first) then name.
   std::vector<std::string> runnable_steps() const;
-  /// Batch variant: at most `max_n` steps, lowest (rank, name) first.
-  std::vector<std::string> runnable_steps(std::size_t max_n) const;
 
   /// Claim a runnable step: transition it to Running. `was_rerun` (may be
   /// null) reports whether this claim consumed a NeedsRerun. Returns false

@@ -2,6 +2,7 @@
 
 #include <clocale>
 #include <cstring>
+#include <limits>
 
 #include "al/interp.hpp"
 #include "al/number.hpp"
@@ -149,6 +150,32 @@ TEST_P(AlEval, Arithmetic) {
   EXPECT_EQ(run("(min 3 1 2)").as_int(), 1);
   EXPECT_EQ(run("(max 3 1 2)").as_int(), 3);
   EXPECT_DOUBLE_EQ(run("(+ 1 0.5)").as_double(), 1.5);
+}
+
+TEST_P(AlEval, IntegerOverflowRaisesNamingTheOperator) {
+  // INT64_MIN is built by subtraction: the reader turns the literal
+  // -9223372036854775808 into a double.
+  const std::string kMin = "(- 0 9223372036854775807 1)";
+  auto expect_overflow = [&](const std::string& src, const std::string& op) {
+    try {
+      run(src);
+      ADD_FAILURE() << src << " did not raise";
+    } catch (const AlError& e) {
+      EXPECT_EQ(std::string(e.what()), op + ": integer overflow") << src;
+    }
+  };
+  EXPECT_EQ(run(kMin).as_int(), std::numeric_limits<std::int64_t>::min());
+  expect_overflow("(/ " + kMin + " -1)", "/");
+  expect_overflow("(mod " + kMin + " -1)", "mod");
+  expect_overflow("(+ 9223372036854775807 1)", "+");
+  expect_overflow("(- " + kMin + " 1)", "-");
+  expect_overflow("(* 21 2432902008176640000)", "*");
+  expect_overflow("(- " + kMin + ")", "-");
+  expect_overflow("(abs " + kMin + ")", "abs");
+  EXPECT_EQ(run("(* 3037000499 3037000499)").as_int(),
+            std::int64_t(9223372030926249001));
+  EXPECT_EQ(run("(/ " + kMin + " 1)").as_int(),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST_P(AlEval, ComparisonAndLogic) {

@@ -1,14 +1,17 @@
-// Scheduler-specific tests for the batched/work-stealing parallel runtime:
+// Scheduler-specific tests for the batched parallel runtime:
 //
 //  - Differential goldens: a batched run (max_batch = 16, the default) must
 //    land on the byte-identical final data-manager state, identical
 //    ResultCache contents, and identical per-step journal attempt records
 //    as the legacy per-step scheduler (max_batch = 1), across chaos seeds
 //    crossed with {1, 2, 4} worker pools.
-//  - Work stealing: skewed step costs on a wide frontier with 8 workers
-//    must record steals and still converge to the serial reference.
+//  - Handoff: skewed step costs on a wide frontier with 8 workers must
+//    record batches run by a worker other than their claimer (steals) and
+//    still converge to the serial reference.
 //  - Serial fast path: a scheduling-bound chain of cheap steps must take
 //    the whole-frontier fast path once the online cost model warms up.
+//  - Stop: request_stop() with claimed batches still queued must run and
+//    apply every claim exactly once and claim nothing new.
 //  - Watchdog: the event-driven watchdog must not poll (wakeup count stays
 //    tiny across a long armed run) yet must still cancel a wedged action at
 //    the real-clock deadline.
@@ -308,18 +311,100 @@ TEST(SchedFastpath, CheapChainTakesWholeFrontierFastPath) {
 
   ExecutorOptions options;
   options.workers = 4;
-  // Pin the batchable-cost bound: under sanitizers or heavy CI load a
-  // "free" step can exceed the 32 µs auto-cap, which would make this test
-  // hostage to machine speed. The fast path itself is what's under test.
-  options.batch_threshold_us = 20'000;
   ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
                        options);
+  // Measure step costs on a SimClock, where every step takes 0 µs: under
+  // sanitizers or heavy CI load a "free" step can exceed the 32 µs
+  // auto-cap, which would make this test hostage to machine speed. The
+  // fast path itself is what's under test.
+  par.set_clock(std::make_shared<SimClock>());
   ASSERT_EQ(par.instantiate({}), "");
   RunStats stats = par.run();
   ASSERT_TRUE(par.complete()) << stats.error;
   EXPECT_GT(stats.fastpath, 0)
       << "a warm cheap chain must use the serial fast path";
   EXPECT_EQ(stats.executed, kChain);
+}
+
+TEST(SchedStop, StopWithQueuedBatchesDrainsEveryClaim) {
+  // One source, then a 32-wide frontier of never-seen steps: each gets a
+  // batch of its own, so with 4 workers at least 28 claimed batches sit in
+  // the ready queue when the first wide step calls request_stop(). Every
+  // claimed batch must still run and apply exactly once; the join step
+  // behind the frontier must never be claimed.
+  const int kWidth = 32;
+  FlowTemplate flow;
+  flow.name = "stop_wide";
+  StepDef src;
+  src.name = "src";
+  src.writes = {"src.out"};
+  src.action = {"src", ActionLanguage::Native, [](ActionApi& api) {
+                  api.write_data("src.out", "seed");
+                  return ActionResult{0, ""};
+                }};
+  flow.steps.push_back(src);
+  ParallelExecutor* executor = nullptr;
+  std::atomic<bool> stopped{false};
+  StepDef join;
+  join.name = "join";
+  join.writes = {"join.out"};
+  join.action = {"join", ActionLanguage::Native, [](ActionApi& api) {
+                   api.write_data("join.out", "done");
+                   return ActionResult{0, ""};
+                 }};
+  for (int i = 0; i < kWidth; ++i) {
+    std::string name = "w" + std::to_string(i);
+    StepDef step;
+    step.name = name;
+    step.start_after = {"src"};
+    step.reads = {"src.out"};
+    step.writes = {name + ".out"};
+    step.action = {name, ActionLanguage::Native,
+                   [name, &executor, &stopped](ActionApi& api) {
+                     if (!stopped.exchange(true)) executor->request_stop();
+                     std::this_thread::sleep_for(
+                         std::chrono::microseconds(200));
+                     if (api.cancel_requested())
+                       return ActionResult{124, "cancelled"};
+                     api.write_data(name + ".out", "x");
+                     return ActionResult{0, ""};
+                   }};
+    flow.steps.push_back(std::move(step));
+    join.start_after.push_back(name);
+  }
+  flow.steps.push_back(std::move(join));
+
+  ExecutorOptions options;
+  options.workers = 4;
+  ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
+                       options);
+  executor = &par;
+  ASSERT_EQ(par.instantiate({}), "");
+  RunStats stats = par.run();
+
+  EXPECT_TRUE(stats.stopped);
+  EXPECT_FALSE(par.complete());
+  // Every claimed step has exactly one final journal record: src and the
+  // whole wide frontier, queued batches included. The join was never
+  // claimed, and nothing is left Running.
+  std::size_t records = 0;
+  std::set<std::uint64_t> batch_ids;
+  for (const StepDef& step : flow.steps) {
+    std::vector<JournalEntry> recs = par.journal().attempts_for(step.name);
+    records += recs.size();
+    for (const JournalEntry& e : recs) batch_ids.insert(e.batch);
+    EXPECT_EQ(recs.size(), step.name == "join" ? 0u : 1u) << step.name;
+    EXPECT_NE(par.engine().instance().find(step.name)->state,
+              wf::StepState::Running)
+        << step.name;
+  }
+  EXPECT_EQ(stats.executed, kWidth + 1);
+  EXPECT_EQ(records, std::size_t(stats.executed + stats.cache_hits));
+  // Batch ids run 1..N with no gaps: every formed batch ran and applied.
+  EXPECT_EQ(stats.batches, kWidth + 1);
+  EXPECT_EQ(std::size_t(stats.batches), batch_ids.size());
+  EXPECT_EQ(*batch_ids.begin(), 1u);
+  EXPECT_EQ(*batch_ids.rbegin(), std::uint64_t(stats.batches));
 }
 
 TEST(SchedWatchdog, ArmedIdleWatchdogDoesNotPoll) {
