@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <future>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "base/diagnostics.hpp"
@@ -397,18 +396,18 @@ Response InteropService::handle_netlist(const Request& req) {
     return error_response(req.id, "unknown cell: " + req.cell);
   sch::Netlist netlist =
       sch::extract_netlist(*design, *schematic, dit->second, diags);
-  std::ostringstream body;
+  // std::to_string, unlike a stream, ignores the global C++ locale.
+  Response resp;
   std::uint64_t connections = 0, ports = 0, globals = 0;
   for (const auto& [name, net] : netlist.nets) {
-    body << "net " << name << " pins=" << net.connections.size()
-         << " port=" << (net.is_port ? 1 : 0)
-         << " global=" << (net.global ? 1 : 0) << "\n";
+    resp.body += "net " + name +
+                 " pins=" + std::to_string(net.connections.size()) +
+                 " port=" + (net.is_port ? "1" : "0") +
+                 " global=" + (net.global ? "1" : "0") + "\n";
     connections += net.connections.size();
     if (net.is_port) ++ports;
     if (net.global) ++globals;
   }
-  Response resp;
-  resp.body = body.str();
   resp.counters = {{"nets", netlist.nets.size()},
                    {"connections", connections},
                    {"ports", ports},

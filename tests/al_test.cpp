@@ -45,6 +45,41 @@ TEST(Reader, Errors) {
   EXPECT_THROW(read_one("1 2"), AlError);
 }
 
+// Regression: the reader recursed once per '(' (and per quote), so a
+// ~100 KB run of them overflowed the stack. Nesting now stops at
+// kMaxDepth with an AlError.
+TEST(Reader, NestingIsBounded) {
+  EXPECT_THROW(read_all(std::string(100000, '(')), AlError);
+  EXPECT_THROW(read_all(std::string(100000, '\'') + "x"), AlError);
+  const std::string deep =
+      std::string(kMaxDepth, '(') + std::string(kMaxDepth, ')');
+  Value v = read_one(deep);
+  for (std::size_t d = 1; d < kMaxDepth; ++d) v = Value(v.as_list().at(0));
+  EXPECT_TRUE(v.as_list().empty());
+  EXPECT_THROW(read_one("(" + deep + ")"), AlError);
+  EXPECT_THROW(read_one("'" + deep), AlError);
+}
+
+TEST(Reader, LexerTokens) {
+  Lexer lex(R"x((a 'b "s\\\"" 1 2.5 nil #t))x");
+  std::vector<TokenKind> kinds;
+  std::vector<std::size_t> depths;
+  for (Token t = lex.next(); t.kind != TokenKind::End; t = lex.next()) {
+    kinds.push_back(t.kind);
+    depths.push_back(lex.depth());
+    if (t.kind == TokenKind::String) {
+      EXPECT_EQ(t.text, R"(s\")");
+    }
+  }
+  EXPECT_EQ(kinds, (std::vector<TokenKind>{
+                       TokenKind::Open, TokenKind::Symbol, TokenKind::Quote,
+                       TokenKind::Symbol, TokenKind::String, TokenKind::Int,
+                       TokenKind::Double, TokenKind::Nil, TokenKind::Bool,
+                       TokenKind::Close}));
+  // A quote is pending until its form ends.
+  EXPECT_EQ(depths, (std::vector<std::size_t>{1, 1, 2, 1, 1, 1, 1, 1, 1, 0}));
+}
+
 TEST(Reader, WriteRoundTrip) {
   for (const char* src :
        {"(1 2 3)", "(a \"b\" 2.5 #t nil)", "(quote (x y))"}) {

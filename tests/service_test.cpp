@@ -14,6 +14,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <locale>
 #include <string>
 #include <thread>
 #include <vector>
@@ -400,6 +401,77 @@ TEST(ServiceCore, ErrorsAreCleanPerRequest) {
   ping.id = 7;
   ping.type = MsgType::Ping;
   EXPECT_EQ(client.call(ping).status, Status::Ok);
+}
+
+// Regression: the design reader recursed once per '(', so one ~1 MB
+// Migrate payload of them overflowed a worker's stack and killed the
+// daemon. The reader's nesting bound turns it into a per-request error.
+TEST(ServiceCore, DeeplyNestedDesignIsAnErrorNotACrash) {
+  InteropService svc(quiet_options());
+  LoopbackClient client(svc);
+  Request req;
+  req.id = 11;
+  req.type = MsgType::Migrate;
+  req.design = "(design " + std::string(1'000'000, '(');
+  Response resp = client.call(req);
+  EXPECT_EQ(resp.status, Status::Error);
+  EXPECT_EQ(resp.error.rfind("bad design: ", 0), 0u) << resp.error;
+
+  Request ping;
+  ping.id = 12;
+  ping.type = MsgType::Ping;
+  EXPECT_EQ(client.call(ping).status, Status::Ok);
+}
+
+/// Decimal ',' and thousands '.' grouped by three: through a stream imbued
+/// with it, 1200 prints as "1.200".
+struct GroupingPunct : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+// Regression: the Netlist body was formatted through an ostringstream,
+// which takes the global C++ locale, so a 1200-pin net read "pins=1.200".
+TEST(ServiceCore, NetlistBodyIgnoresGlobalLocale) {
+  // 1200 inverters stacked in a column, their A pins (symbol-local (0, 2))
+  // chained by wires into one net.
+  sch::Design design(sch::viewlogic_dialect().grid);
+  sch::add_source_library(design, "top", {});
+  sch::Schematic top;
+  top.cell = "top";
+  sch::Sheet sheet;
+  sheet.frame = base::Rect({0, 0}, {100, 5000});
+  for (std::int64_t i = 0; i < 1200; ++i) {
+    sch::Instance inst;
+    inst.name = "U" + std::to_string(i);
+    inst.symbol = {"vl_lib", "vl_inv", "sym"};
+    inst.placement = base::Transform(base::Orient::R0, {0, 4 * i});
+    sheet.instances.push_back(inst);
+    if (i > 0) sheet.wires.push_back({{0, 4 * i - 2}, {0, 4 * i + 2}});
+  }
+  top.sheets.push_back(sheet);
+  design.add_schematic(top);
+
+  InteropService svc(quiet_options());
+  LoopbackClient client(svc);
+  Request req;
+  req.id = 13;
+  req.type = MsgType::Netlist;
+  req.design = sch::write_design(design);
+  req.cell = "top";
+  Response classic = client.call(req);
+  ASSERT_EQ(classic.status, Status::Ok) << classic.error;
+  ASSERT_NE(classic.body.find(" pins=1200 "), std::string::npos);
+
+  std::locale saved = std::locale::global(
+      std::locale(std::locale::classic(), new GroupingPunct));
+  Response localized = client.call(req);
+  std::locale::global(saved);
+
+  ASSERT_EQ(localized.status, Status::Ok) << localized.error;
+  EXPECT_TRUE(localized.body == classic.body)
+      << "first line: " << localized.body.substr(0, localized.body.find('\n'));
 }
 
 TEST(ServiceCore, FlowRunsShareTheResidentCacheAcrossTenants) {
