@@ -107,6 +107,25 @@ void BM_NetlistExtract(benchmark::State& state) {
 BENCHMARK(BM_NetlistExtract)->Arg(100)->Arg(400)->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
+/// Independent verification alone, on a design migrated once up front:
+/// extract both netlists, map the golden one through the symbol map, and
+/// compare.
+void BM_VerifyMigration(benchmark::State& state) {
+  using namespace interop::sch;
+  Scenario sc = schematic_scenario(state);
+  interop::base::DiagnosticEngine migrate_diags;
+  const MigrationResult result =
+      migrate_design(sc.source, sc.config, migrate_diags);
+  for (auto _ : state) {
+    interop::base::DiagnosticEngine diags;
+    auto diffs = verify_migration(sc.source, result.design, sc.config, diags);
+    benchmark::DoNotOptimize(diffs.size());
+  }
+  state.counters["instances"] = double(sc.source.instance_count());
+}
+BENCHMARK(BM_VerifyMigration)->Arg(100)->Arg(400)->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
+
 /// One Migrate request's schematic work, single-threaded: read the design
 /// text, migrate, verify, write the migrated design.
 void BM_MigrateRequest(benchmark::State& state) {
