@@ -13,6 +13,7 @@
 #include "hdl/sim.hpp"
 #include "pnr/backplane.hpp"
 #include "pnr/generator.hpp"
+#include "pnr/place.hpp"
 #include "pnr/route.hpp"
 #include "schematic/generator.hpp"
 #include "schematic/migrate.hpp"
@@ -68,6 +69,53 @@ void BM_MazeRoute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * std::int64_t(input.nets.size()));
 }
 BENCHMARK(BM_MazeRoute)->Arg(16)->Arg(32)->Arg(64);
+
+/// The tapeout_flow P&R shape: 64 instances, 24 nets, die 170, on the
+/// generator's 14-track rows.
+interop::pnr::PhysDesign tapeout_design(interop::pnr::PlaceOptions& popt) {
+  using namespace interop::pnr;
+  PnrGenOptions gen;
+  gen.seed = 3;
+  gen.instances = 64;
+  gen.nets = 24;
+  gen.die_w = gen.die_h = 170;
+  popt.seed = gen.seed;
+  popt.row_height = 14;
+  return make_pnr_workload(gen);
+}
+
+/// Row packing plus the 2000 swap iterations. Each call repacks every
+/// movable instance, so placing the same design again does the same work.
+void BM_Place(benchmark::State& state) {
+  using namespace interop::pnr;
+  PlaceOptions popt;
+  PhysDesign design = tapeout_design(popt);
+  for (auto _ : state) {
+    PlaceResult r = place(design, popt);
+    benchmark::DoNotOptimize(r.hpwl_final);
+  }
+  state.SetItemsProcessed(state.iterations() * popt.swap_iterations);
+}
+BENCHMARK(BM_Place)->Unit(benchmark::kMicrosecond);
+
+/// The router at the tapeout shape: placed, exported through the
+/// backplane for RouterAlpha.
+void BM_MazeRouteTapeout(benchmark::State& state) {
+  using namespace interop::pnr;
+  PlaceOptions popt;
+  PhysDesign design = tapeout_design(popt);
+  place(design, popt);
+  interop::base::DiagnosticEngine diags;
+  LossReport loss;
+  ToolInput input =
+      export_via_backplane(design, router_alpha_caps(), loss, diags);
+  for (auto _ : state) {
+    RouteResult r = route(input);
+    benchmark::DoNotOptimize(r.wirelength);
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(input.nets.size()));
+}
+BENCHMARK(BM_MazeRouteTapeout)->Unit(benchmark::kMillisecond);
 
 /// The migrate_large proportions: two sheets, two-pin nets at two thirds
 /// of the components per sheet (range 100 / 400 / 1600 -> about 200 / 800 /
