@@ -575,10 +575,17 @@ std::int64_t Simulation::run(std::int64_t until) {
       apply_update(u.signal, u.value);
     }
   }
-  auto& m = obs::Metrics::global();
-  m.counter("hdl.sim.timesteps").add(std::int64_t(timesteps));
-  m.counter("hdl.sim.events").add(std::int64_t(deltas_ - deltas_at_entry));
-  m.counter("hdl.sim.wakeups").add(std::int64_t(wakeups_total));
+  // Registry handles resolved once per process: a lookup takes the
+  // registry lock and may allocate the name.
+  static obs::MetricCounter& m_timesteps =
+      obs::Metrics::global().counter("hdl.sim.timesteps");
+  static obs::MetricCounter& m_events =
+      obs::Metrics::global().counter("hdl.sim.events");
+  static obs::MetricCounter& m_wakeups =
+      obs::Metrics::global().counter("hdl.sim.wakeups");
+  m_timesteps.add(std::int64_t(timesteps));
+  m_events.add(std::int64_t(deltas_ - deltas_at_entry));
+  m_wakeups.add(std::int64_t(wakeups_total));
   return now_;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hdl/parser.hpp"
+#include "obs/metrics.hpp"
 
 namespace interop::hdl {
 namespace {
@@ -116,6 +117,38 @@ TEST(Sim, ClockGeneratorForeverLoop) {
   EXPECT_EQ(sim.trace()[1].time, 5);
   EXPECT_EQ(sim.trace()[1].value, Logic::L1);
   EXPECT_EQ(sim.trace()[4].time, 20);
+}
+
+TEST(Sim, RunAddsItsCountsToTheRegistry) {
+  ElabDesign d = elab(R"(
+    module top(); reg clk; reg q;
+      always @(posedge clk) q <= !q;
+      initial begin clk = 0; q = 0; forever #5 clk = !clk; end
+    endmodule
+  )");
+  obs::Metrics& m = obs::Metrics::global();
+  const obs::MetricCounter& timesteps = m.counter("hdl.sim.timesteps");
+  const obs::MetricCounter& events = m.counter("hdl.sim.events");
+  const obs::MetricCounter& wakeups = m.counter("hdl.sim.wakeups");
+  Simulation sim(d, SchedulerPolicy::SourceOrder);
+  // Each run adds its own timesteps, delta cycles and thread wake-ups.
+  auto expect_run_adds = [&](std::int64_t until, std::int64_t steps,
+                             std::int64_t deltas, std::int64_t wakes) {
+    const std::int64_t t0 = timesteps.value(), e0 = events.value(),
+                       w0 = wakeups.value();
+    const std::uint64_t d0 = sim.delta_cycles();
+    sim.run(until);
+    EXPECT_EQ(timesteps.value() - t0, steps) << "until " << until;
+    EXPECT_EQ(events.value() - e0, deltas) << "until " << until;
+    EXPECT_EQ(std::uint64_t(deltas), sim.delta_cycles() - d0);
+    EXPECT_EQ(wakeups.value() - w0, wakes) << "until " << until;
+  };
+  // Times 0, 5, 10, 15, 20; the always block runs on the rises at 5 and
+  // 15; the thread starts at 0 and wakes at each toggle.
+  expect_run_adds(23, 5, 2, 5);
+  // The first step settles the current time (20) again, then 25, 30, 35,
+  // 40; rises at 25 and 35.
+  expect_run_adds(43, 5, 2, 4);
 }
 
 TEST(Sim, GateDelayPropagates) {
