@@ -12,6 +12,7 @@
 #include "hdl/parser.hpp"
 #include "hdl/sim.hpp"
 #include "pnr/backplane.hpp"
+#include "pnr/check.hpp"
 #include "pnr/generator.hpp"
 #include "pnr/place.hpp"
 #include "pnr/route.hpp"
@@ -116,6 +117,26 @@ void BM_MazeRouteTapeout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * std::int64_t(input.nets.size()));
 }
 BENCHMARK(BM_MazeRouteTapeout)->Unit(benchmark::kMillisecond);
+
+/// The post-route check at the tapeout shape, on the routes of
+/// BM_MazeRouteTapeout's input (routed once, outside the timed loop).
+void BM_CheckRoutes(benchmark::State& state) {
+  using namespace interop::pnr;
+  PlaceOptions popt;
+  PhysDesign design = tapeout_design(popt);
+  place(design, popt);
+  interop::base::DiagnosticEngine diags;
+  LossReport loss;
+  const RouteResult routes = route(
+      export_via_backplane(design, router_alpha_caps(), loss, diags));
+  for (auto _ : state) {
+    CheckResult c = check_routes(design, routes);
+    benchmark::DoNotOptimize(c.spacing_violations);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          std::int64_t(routes.nets.size()));
+}
+BENCHMARK(BM_CheckRoutes)->Unit(benchmark::kMicrosecond);
 
 /// The migrate_large proportions: two sheets, two-pin nets at two thirds
 /// of the components per sheet (range 100 / 400 / 1600 -> about 200 / 800 /
