@@ -1,24 +1,25 @@
-// a/L engine bench — prices migration-callback evaluation on the bytecode
-// VM against the tree-walking interpreter and prints one JSON object for
-// the bench harness (BENCH_al_vm.json via bench/run_perf.sh). See
-// EXPERIMENTS.md §V1.
+// a/L bench — prices migration-callback evaluation on the bytecode VM
+// against the tree-walking oracle (tests/al_oracle.hpp) and prints one
+// JSON object for the bench harness (BENCH_al_vm.json via
+// bench/run_perf.sh). See EXPERIMENTS.md §V1.
 //
 // Scenarios:
-//  - callback: the production shape. CallbackHost::run re-evaluates the
-//    rule source for every migrated object (that is what migrate_design
-//    does per instance); the walker re-reads and re-walks the AST each
-//    time, while the VM hits its compile cache and replays the compiled
-//    unit. This is the §V1 headline number, measured on a composite
+//  - callback: the production shape. A callback host runs the rule on
+//    every migrated object (that is what migrate_design does per
+//    instance); the oracle re-reads and re-walks the rule source each
+//    time, while sch::CallbackHost compiles it once and replays the
+//    closure. This is the §V1 headline number, measured on a composite
 //    rule-file callback (family dispatch + the T2 analog model split).
 //  - migration: end-to-end migrate_design on the T2 exar scenario with a
-//    high analog fraction, per engine. Callbacks are one slice of a
+//    high analog fraction, on the VM. Callbacks are one slice of a
 //    migration, so this bounds what the VM buys at the pipeline level.
-//  - dispatch: a recursive fib workload evaluated once per engine —
+//  - dispatch: a recursive fib workload evaluated once per evaluator —
 //    isolates raw eval/apply dispatch with no parse or cache effects.
 //
-// Self-checking: exits nonzero unless both engines produce byte-identical
-// migrated designs and property sets, and the VM's callback throughput is
-// at least 10x the walker's (the PR contract).
+// Self-checking: exits nonzero unless the oracle and the VM transform
+// every object identically (the callback objects, and a per-instance
+// replay of each migration's callback step), and the VM's callback
+// throughput is at least 10x the oracle's.
 
 #include <chrono>
 #include <iostream>
@@ -26,15 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "al_oracle.hpp"
 #include "base/diagnostics.hpp"
 #include "base/property.hpp"
 #include "schematic/generator.hpp"
 #include "schematic/mapping.hpp"
 #include "schematic/migrate.hpp"
-#include "schematic/textio.hpp"
 
 using namespace interop;
-using al::Engine;
 
 namespace {
 
@@ -61,7 +61,7 @@ void require(bool cond, const std::string& what) {
 // The R branch is the standard T2 analog reformatting (split
 // "model=<name>:<res>:<cap>" into three target properties); the C branch
 // additionally normalizes unit suffixes through string->number /
-// number->string, leaning on the round-trip fixes this PR ships.
+// number->string.
 const char* kCompositeRule = R"AL(
   ;; helpers shared by the family branches ---------------------------
   (define (unit-scale suf)
@@ -166,11 +166,12 @@ base::PropertySet object_props(int i) {
   return props;
 }
 
-/// Run `iters` CallbackHost::run invocations (fresh object each time, the
-/// way migrate_design drives it). Returns wall micros; appends the final
-/// property text of every object to `out` for cross-engine comparison.
-std::uint64_t run_callbacks(Engine engine, int iters, std::string& out) {
-  sch::CallbackHost host(engine);
+/// Run `iters` Host::run invocations (fresh object each time, the way
+/// migrate_design drives it). Returns wall micros; appends the final
+/// property text of every object to `out` for the oracle-vs-VM comparison.
+template <class Host>
+std::uint64_t run_callbacks(int iters, std::string& out) {
+  Host host;
   sch::CallbackRule rule{"", kCompositeRule};
   base::DiagnosticEngine diags;
   std::vector<base::PropertySet> objects;
@@ -200,10 +201,11 @@ int main() {
   {
     const int iters = 20'000;
     std::string walker_out, vm_out;
-    std::uint64_t walker_us = run_callbacks(Engine::TreeWalker, iters,
-                                            walker_out);
-    std::uint64_t vm_us = run_callbacks(Engine::Bytecode, iters, vm_out);
-    require(walker_out == vm_out, "engines transformed objects identically");
+    std::uint64_t walker_us =
+        run_callbacks<al::oracle::CallbackOracle>(iters, walker_out);
+    std::uint64_t vm_us = run_callbacks<sch::CallbackHost>(iters, vm_out);
+    require(walker_out == vm_out,
+            "oracle and VM transformed objects identically");
     double walker_per_s = 1e6 * double(iters) / double(walker_us);
     double vm_per_s = 1e6 * double(iters) / double(vm_us);
     double speedup = vm_us ? double(walker_us) / double(vm_us) : 0;
@@ -217,7 +219,7 @@ int main() {
   // -------------------------------------------------------- migration
   {
     const int seeds = 4;
-    std::uint64_t walker_us = 0, vm_us = 0;
+    std::uint64_t vm_us = 0;
     std::size_t callbacks = 0;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       sch::GeneratorOptions opt;
@@ -225,27 +227,23 @@ int main() {
       opt.components_per_sheet = 48;
       opt.analog_fraction = 0.9;
       sch::Scenario scenario = sch::make_exar_scenario(opt);
-      std::string designs[2];
-      for (Engine engine : {Engine::TreeWalker, Engine::Bytecode}) {
-        scenario.config.al_engine = engine;
-        base::DiagnosticEngine diags;
-        std::uint64_t t0 = now_us();
-        sch::MigrationResult result =
-            sch::migrate_design(scenario.source, scenario.config, diags);
-        (engine == Engine::TreeWalker ? walker_us : vm_us) += now_us() - t0;
-        designs[engine == Engine::Bytecode] =
-            sch::write_design(result.design);
-        if (engine == Engine::Bytecode)
-          callbacks += result.report.props.callbacks_run;
-      }
-      require(designs[0] == designs[1], "migrated designs byte-identical");
+      base::DiagnosticEngine diags;
+      std::uint64_t t0 = now_us();
+      sch::MigrationResult result =
+          sch::migrate_design(scenario.source, scenario.config, diags);
+      vm_us += now_us() - t0;
+      callbacks += result.report.props.callbacks_run;
+      al::oracle::CallbackReplay replay = al::oracle::callback_replay(
+          scenario.source, scenario.config.property_rules);
+      require(replay.mismatches.empty(),
+              "oracle and VM agree on every migrated instance");
+      require(replay.callbacks_run == result.report.props.callbacks_run,
+              "replay ran the migration's callbacks");
     }
     require(callbacks > 0, "migration exercised callbacks");
     js << " \"migration\": {\"seeds\": " << seeds
        << ", \"callbacks_run\": " << callbacks
-       << ", \"walker_us\": " << walker_us << ", \"bytecode_us\": " << vm_us
-       << ", \"speedup_x\": "
-       << (vm_us ? double(walker_us) / double(vm_us) : 0) << "},\n";
+       << ", \"bytecode_us\": " << vm_us << "},\n";
   }
 
   // --------------------------------------------------------- dispatch
@@ -254,13 +252,12 @@ int main() {
         "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
         " (fib 21)";
     std::uint64_t us[2] = {0, 0};
-    for (Engine engine : {Engine::TreeWalker, Engine::Bytecode}) {
-      al::Interpreter interp;
-      interp.set_engine(engine);
-      interp.set_step_limit(0);
+    for (bool on_vm : {false, true}) {
+      al::Interpreter host;
+      al::oracle::Walker walker(host);
       std::uint64_t t0 = now_us();
-      al::Value out = interp.eval_source(fib);
-      us[engine == Engine::Bytecode] = now_us() - t0;
+      al::Value out = on_vm ? host.eval_source(fib) : walker.eval_source(fib);
+      us[on_vm] = now_us() - t0;
       require(out.as_int() == 10946, "fib(21)");
     }
     js << " \"dispatch\": {\"workload\": \"fib21\", \"walker_us\": " << us[0]

@@ -12,7 +12,7 @@
 // The VM (vm.cpp) executes this with flat heap-allocated frames and an
 // explicit instruction pointer — no C++ recursion per a/L call — while
 // variable scopes remain ordinary Environment frames in the interpreter's
-// arena, so closure capture and the PR-5 cycle collector work unchanged.
+// arena, where closures capture them and the cycle collector reclaims them.
 
 #include <cstdint>
 #include <memory>
@@ -22,16 +22,6 @@
 #include "al/value.hpp"
 
 namespace interop::al {
-
-/// Which evaluation engine an Interpreter uses for eval/eval_source.
-/// TreeWalker is the original recursive AST interpreter, kept as the
-/// reference oracle; Bytecode compiles to a Proto and runs it on the VM.
-/// Both produce identical values, errors, and GC behaviour (pinned by the
-/// AlDiff differential suite).
-enum class Engine {
-  TreeWalker,
-  Bytecode,
-};
 
 enum class Op : std::uint8_t {
   Const,        ///< push consts[arg]
@@ -85,13 +75,16 @@ struct Proto {
   std::vector<std::shared_ptr<const Proto>> protos;  ///< child lambdas
 };
 
-/// A closure over a compiled Proto. Environment capture mirrors Lambda
-/// exactly (weak handle into the arena, strong pin for caller-owned
-/// frames), so the interpreter's cycle collector treats both alike.
+/// A closure over a compiled Proto. The captured scope is a weak handle
+/// into the defining interpreter's arena (the arena owns the frame; the
+/// cycle collector keeps it while the closure is reachable). A frame the
+/// caller constructed outside any arena (Interpreter::eval's `env`) is
+/// pinned strongly instead; the interpreter itself never creates such
+/// frames, so pinning cannot form a cycle it would miss.
 struct VmClosure {
   std::shared_ptr<const Proto> proto;
-  std::weak_ptr<Environment> env;
-  std::shared_ptr<Environment> pinned;
+  std::weak_ptr<Environment> env;  ///< arena-owned frame (the common case)
+  std::shared_ptr<Environment> pinned;  ///< caller-owned frame, if any
 
   /// Per-name global-binding cache, filled lazily by the VM when this is a
   /// slot-mode closure captured directly over the interpreter's global

@@ -1,12 +1,13 @@
 #pragma once
 // AST -> bytecode compiler for a/L (see bytecode.hpp for the format).
 //
-// Compilation is eager where the tree-walker is lazy: a malformed special
-// form in dead code (an `(if #t 1 (quote))` else-branch the walker never
-// reaches) raises its AlError at compile time instead of never. Error
-// *messages* are identical to the walker's; only the timing of dead-code
-// diagnostics differs. Live code behaves identically on both engines,
-// which is what the AlDiff differential suite pins.
+// Compilation is eager where the reference tree-walker (the test oracle in
+// tests/al_oracle.hpp) is lazy: a malformed special form in dead code (an
+// `(if #t 1 (quote))` else-branch the walker never reaches) raises its
+// AlError at compile time instead of never. Error *messages* are identical
+// to the walker's; only the timing of dead-code diagnostics differs. Live
+// code behaves identically on both, which is what the AlDiff differential
+// suite pins.
 
 #include <memory>
 #include <string>

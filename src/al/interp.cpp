@@ -67,20 +67,6 @@ std::shared_ptr<Environment> Interpreter::new_frame(
   return env;
 }
 
-Value Interpreter::make_closure(std::vector<std::string> params,
-                                std::vector<Value> body,
-                                const std::shared_ptr<Environment>& env) {
-  auto lam = std::make_shared<Lambda>();
-  lam->params = std::move(params);
-  lam->body = std::move(body);
-  if (env->arena_owned_)
-    lam->env = env;  // non-owning: the arena keeps the frame alive
-  else
-    lam->pinned = env;  // caller-owned frame: pin it (see Lambda)
-  lambdas_.push_back(lam);
-  return Value(std::move(lam));
-}
-
 void Interpreter::maybe_collect() {
   if (depth_ == 0 && call_depth_ == 0 && frames_since_gc_ >= gc_threshold_)
     collect_garbage();
@@ -93,20 +79,15 @@ std::size_t Interpreter::collect_garbage() {
   // closures the host still holds.
   if (depth_ != 0 || call_depth_ != 0) return 0;
   frames_since_gc_ = 0;
-  std::erase_if(lambdas_,
-                [](const std::weak_ptr<Lambda>& w) { return w.expired(); });
   std::erase_if(vm_closures_,
                 [](const std::weak_ptr<VmClosure>& w) { return w.expired(); });
 
   // Count the closure references stored inside arena frames (deep through
   // lists). Any shared_ptr beyond these — a host-held Value, a builtin
-  // capture — is an external root. Both closure kinds (tree-walker Lambda
-  // and bytecode VmClosure) follow the same protocol.
-  std::unordered_map<const void*, std::size_t> internal;
+  // capture — is an external root.
+  std::unordered_map<const VmClosure*, std::size_t> internal;
   std::function<void(const Value&)> count = [&](const Value& v) {
-    if (v.is_lambda()) {
-      ++internal[v.as_lambda().get()];
-    } else if (v.is_vm_closure()) {
+    if (v.is_vm_closure()) {
       ++internal[v.as_vm_closure().get()];
     } else if (v.is_list()) {
       for (const Value& item : v.as_list()) count(item);
@@ -125,32 +106,19 @@ std::size_t Interpreter::collect_garbage() {
     }
   };
   mark_chain(global_.get());
-  // +1 for our temporary lock; more owners than stored copies means the
-  // host (or a builtin capture) still holds this closure.
-  auto externally_rooted = [&](const void* key, long use_count) {
-    auto it = internal.find(key);
-    std::size_t stored = it == internal.end() ? 0 : it->second;
-    return std::size_t(use_count) > stored + 1;
-  };
-  for (const std::weak_ptr<Lambda>& w : lambdas_) {
-    std::shared_ptr<Lambda> lam = w.lock();
-    if (!lam) continue;
-    if (externally_rooted(lam.get(), lam.use_count()))
-      if (std::shared_ptr<Environment> env = lam->captured())
-        mark_chain(env.get());
-  }
   for (const std::weak_ptr<VmClosure>& w : vm_closures_) {
     std::shared_ptr<VmClosure> clo = w.lock();
     if (!clo) continue;
-    if (externally_rooted(clo.get(), clo.use_count()))
+    // +1 for our temporary lock; more owners than stored copies means the
+    // host (or a builtin capture) still holds this closure.
+    auto it = internal.find(clo.get());
+    std::size_t stored = it == internal.end() ? 0 : it->second;
+    if (std::size_t(clo.use_count()) > stored + 1)
       if (std::shared_ptr<Environment> env = clo->captured())
         mark_chain(env.get());
   }
   std::function<void(const Value&)> mark_value = [&](const Value& v) {
-    if (v.is_lambda()) {
-      if (std::shared_ptr<Environment> env = v.as_lambda()->captured())
-        mark_chain(env.get());
-    } else if (v.is_vm_closure()) {
+    if (v.is_vm_closure()) {
       if (std::shared_ptr<Environment> env = v.as_vm_closure()->captured())
         mark_chain(env.get());
     } else if (v.is_list()) {
@@ -186,20 +154,7 @@ Value Interpreter::eval(const Value& form) { return eval(form, global_); }
 
 Value Interpreter::eval(const Value& form,
                         const std::shared_ptr<Environment>& env) {
-  if (engine_ == Engine::Bytecode)
-    return run_compiled(compile_unit(*this, {form}, "<eval>"), env);
-  if (depth_ == 0) steps_used_ = 0;
-  ++depth_;
-  try {
-    Value out = eval_inner(form, env);
-    --depth_;
-    maybe_collect();
-    return out;
-  } catch (...) {
-    --depth_;
-    maybe_collect();
-    throw;
-  }
+  return run_compiled(compile_unit(*this, {form}, "<eval>"), env);
 }
 
 Value Interpreter::run_compiled(const std::shared_ptr<const Proto>& proto,
@@ -219,12 +174,7 @@ Value Interpreter::run_compiled(const std::shared_ptr<const Proto>& proto,
 }
 
 Value Interpreter::eval_source(const std::string& source) {
-  if (engine_ == Engine::TreeWalker) {
-    Value last;
-    for (const Value& form : read_all(source)) last = eval(form);
-    return last;
-  }
-  // Bytecode: compile the whole unit once and cache it by source text.
+  // Compile the whole unit once and cache it by source text.
   std::shared_ptr<const Proto> proto;
   auto it = compile_cache_.find(source);
   if (it != compile_cache_.end()) {
@@ -241,185 +191,14 @@ Value Interpreter::call(const Value& fn, std::vector<Value> args) {
   if (fn.is_builtin()) return fn.as_builtin()(args);
   if (fn.is_vm_closure()) {
     // Host-driven calls start a fresh step budget at top level, like
-    // eval() does for the walker path (CallbackHost runs one call per
-    // migrated object and each gets the full budget).
+    // eval() does (CallbackHost runs one call per migrated object and each
+    // gets the full budget).
     if (depth_ == 0 && call_depth_ == 0) steps_used_ = 0;
     Value out = Vm::call_closure(*this, fn.as_vm_closure(), std::move(args));
     maybe_collect();
     return out;
   }
-  if (fn.is_lambda()) {
-    Value out;
-    {
-      if (++call_depth_ > max_call_depth_) {
-        --call_depth_;
-        throw AlError("maximum call depth exceeded (runaway recursion?)");
-      }
-      struct DepthGuard {
-        std::size_t& depth;
-        ~DepthGuard() { --depth; }
-      } guard{call_depth_};
-      const Lambda& lam = *fn.as_lambda();
-      if (args.size() != lam.params.size())
-        throw AlError("lambda arity mismatch: expected " +
-                      std::to_string(lam.params.size()) + ", got " +
-                      std::to_string(args.size()));
-      std::shared_ptr<Environment> captured = lam.captured();
-      if (!captured)
-        throw AlError("closure environment expired (defining interpreter "
-                      "destroyed?)");
-      auto frame = new_frame(std::move(captured));
-      for (std::size_t i = 0; i < args.size(); ++i)
-        frame->define(lam.params[i], std::move(args[i]));
-      for (const Value& form : lam.body) out = eval(form, frame);
-    }
-    // Host code may drive callbacks through call() without ever returning
-    // to eval()'s top level; collect here too once the call tree unwinds.
-    maybe_collect();
-    return out;
-  }
   throw AlError("not callable: " + fn.write());
-}
-
-namespace {
-
-const std::string& symbol_name(const Value& v, const char* what) {
-  if (!v.is_symbol()) throw AlError(std::string(what) + ": expected a symbol");
-  return v.as_symbol().name;
-}
-
-}  // namespace
-
-Value Interpreter::eval_inner(const Value& form,
-                              std::shared_ptr<Environment> env) {
-  if (step_limit_ && ++steps_used_ > step_limit_)
-    throw AlError("step limit exceeded");
-
-  if (form.is_symbol()) return env->lookup(form.as_symbol().name);
-  if (!form.is_list()) return form;  // self-evaluating atom
-
-  const Value::List& list = form.as_list();
-  if (list.empty()) throw AlError("cannot evaluate empty list");
-
-  if (list[0].is_symbol()) {
-    const std::string& head = list[0].as_symbol().name;
-
-    if (head == "quote") {
-      if (list.size() != 2) throw AlError("quote takes one argument");
-      return list[1];
-    }
-    if (head == "if") {
-      if (list.size() != 3 && list.size() != 4)
-        throw AlError("if takes 2 or 3 arguments");
-      if (eval_inner(list[1], env).truthy()) return eval_inner(list[2], env);
-      return list.size() == 4 ? eval_inner(list[3], env) : Value::nil();
-    }
-    if (head == "cond") {
-      for (std::size_t i = 1; i < list.size(); ++i) {
-        if (!list[i].is_list() || list[i].as_list().size() < 2)
-          throw AlError("cond: malformed clause");
-        const Value::List& clause = list[i].as_list();
-        bool is_else =
-            clause[0].is_symbol() && clause[0].as_symbol().name == "else";
-        if (is_else || eval_inner(clause[0], env).truthy()) {
-          Value out;
-          for (std::size_t j = 1; j < clause.size(); ++j)
-            out = eval_inner(clause[j], env);
-          return out;
-        }
-      }
-      return Value::nil();
-    }
-    if (head == "define") {
-      if (list.size() < 3) throw AlError("define takes at least 2 arguments");
-      // (define (f a b) body...) sugar
-      if (list[1].is_list()) {
-        const Value::List& sig = list[1].as_list();
-        if (sig.empty()) throw AlError("define: empty signature");
-        std::vector<std::string> params;
-        for (std::size_t i = 1; i < sig.size(); ++i)
-          params.push_back(symbol_name(sig[i], "define"));
-        env->define(symbol_name(sig[0], "define"),
-                    make_closure(std::move(params),
-                                 {list.begin() + 2, list.end()}, env));
-        return Value::nil();
-      }
-      if (list.size() != 3) throw AlError("define takes 2 arguments");
-      Value v = eval_inner(list[2], env);
-      env->define(symbol_name(list[1], "define"), std::move(v));
-      return Value::nil();
-    }
-    if (head == "set!") {
-      if (list.size() != 3) throw AlError("set! takes 2 arguments");
-      Value v = eval_inner(list[2], env);
-      env->assign(symbol_name(list[1], "set!"), v);
-      return v;
-    }
-    if (head == "lambda") {
-      if (list.size() < 3) throw AlError("lambda takes params and body");
-      if (!list[1].is_list()) throw AlError("lambda: params must be a list");
-      std::vector<std::string> params;
-      for (const Value& p : list[1].as_list())
-        params.push_back(symbol_name(p, "lambda"));
-      return make_closure(std::move(params), {list.begin() + 2, list.end()},
-                          env);
-    }
-    if (head == "let") {
-      if (list.size() < 3 || !list[1].is_list())
-        throw AlError("let: malformed");
-      auto frame = new_frame(env);
-      for (const Value& binding : list[1].as_list()) {
-        if (!binding.is_list() || binding.as_list().size() != 2)
-          throw AlError("let: malformed binding");
-        const Value::List& b = binding.as_list();
-        frame->define(symbol_name(b[0], "let"), eval_inner(b[1], env));
-      }
-      Value out;
-      for (std::size_t i = 2; i < list.size(); ++i)
-        out = eval_inner(list[i], frame);
-      return out;
-    }
-    if (head == "begin") {
-      Value out;
-      for (std::size_t i = 1; i < list.size(); ++i)
-        out = eval_inner(list[i], env);
-      return out;
-    }
-    if (head == "and") {
-      Value out(true);
-      for (std::size_t i = 1; i < list.size(); ++i) {
-        out = eval_inner(list[i], env);
-        if (!out.truthy()) return out;
-      }
-      return out;
-    }
-    if (head == "or") {
-      for (std::size_t i = 1; i < list.size(); ++i) {
-        Value out = eval_inner(list[i], env);
-        if (out.truthy()) return out;
-      }
-      return Value(false);
-    }
-    if (head == "while") {
-      if (list.size() < 2) throw AlError("while takes a condition");
-      Value out;
-      while (eval_inner(list[1], env).truthy()) {
-        if (step_limit_ && ++steps_used_ > step_limit_)
-          throw AlError("step limit exceeded");
-        for (std::size_t i = 2; i < list.size(); ++i)
-          out = eval_inner(list[i], env);
-      }
-      return out;
-    }
-  }
-
-  // Function application.
-  Value fn = eval_inner(list[0], env);
-  std::vector<Value> args;
-  args.reserve(list.size() - 1);
-  for (std::size_t i = 1; i < list.size(); ++i)
-    args.push_back(eval_inner(list[i], env));
-  return call(fn, std::move(args));
 }
 
 }  // namespace interop::al

@@ -19,14 +19,14 @@ class Vm;
 
 /// A lexical scope frame. The Interpreter's environment arena owns every
 /// frame it creates; closures capture frames through non-owning handles
-/// (see Lambda), so the strong ownership graph is acyclic: arena slot ->
+/// (see VmClosure), so the strong ownership graph is acyclic: arena slot ->
 /// frame -> parent frame. A mark/sweep pass over the arena reclaims frames
 /// that only dead closures still reference (the classic `(define (f) (f))`
 /// self-capture cycle).
 class Environment : public std::enable_shared_from_this<Environment> {
  public:
   /// Standalone constructor for frames NOT owned by an interpreter arena.
-  /// Closures defined in such a frame pin it strongly (Lambda::pinned).
+  /// Closures defined in such a frame pin it strongly (VmClosure::pinned).
   static std::shared_ptr<Environment> make(
       std::shared_ptr<Environment> parent = nullptr) {
     return std::shared_ptr<Environment>(new Environment(std::move(parent)));
@@ -83,25 +83,17 @@ class Interpreter {
 
   std::shared_ptr<Environment> global() { return global_; }
 
-  /// Select the evaluation engine. Bytecode (the default) compiles forms
-  /// to the VM (vm.hpp) and caches compiled units per source string, so a
-  /// migration callback re-run per object skips re-reading and re-walking
-  /// entirely. TreeWalker is the original recursive evaluator, kept as
-  /// the reference oracle — both engines are semantically identical
-  /// (pinned by the AlDiff differential suite). Closures remember their
-  /// engine: values created under one engine stay callable after a
-  /// switch.
-  void set_engine(Engine e) { engine_ = e; }
-  Engine engine() const { return engine_; }
-
   /// Register a host function callable from a/L code.
   void register_builtin(const std::string& name, Builtin fn);
 
-  /// Evaluate one form in the global environment.
+  /// Evaluate one form in the global environment. Forms compile to the
+  /// VM (vm.hpp).
   Value eval(const Value& form);
   Value eval(const Value& form, const std::shared_ptr<Environment>& env);
 
   /// Read and evaluate every form in `source`; returns the last result.
+  /// The compiled unit is cached per source string, so a migration
+  /// callback re-run per object skips re-reading and re-compiling.
   Value eval_source(const std::string& source);
 
   /// Call a callable value with arguments.
@@ -130,19 +122,20 @@ class Interpreter {
   /// Frames currently owned by the arena (includes the global frame).
   std::size_t arena_frames() const { return arena_.size(); }
 
+  /// Bound on the compile cache: cleared wholesale past this many entries
+  /// (callback workloads have a handful of distinct sources; anything
+  /// larger is a misuse, not a working set).
+  static constexpr std::size_t kCompileCacheMax = 256;
+
  private:
   friend class Vm;
 
-  Value eval_inner(const Value& form, std::shared_ptr<Environment> env);
   /// Run a compiled unit with eval()'s depth/step bookkeeping.
   Value run_compiled(const std::shared_ptr<const Proto>& proto,
                      const std::shared_ptr<Environment>& env);
 
   /// Allocate an arena-owned frame.
   std::shared_ptr<Environment> new_frame(std::shared_ptr<Environment> parent);
-  /// Build a closure over `env` and register it with the collector.
-  Value make_closure(std::vector<std::string> params, std::vector<Value> body,
-                     const std::shared_ptr<Environment>& env);
   /// collect_garbage() if idle at top level and past the allocation budget.
   void maybe_collect();
 
@@ -151,20 +144,14 @@ class Interpreter {
   /// collect_garbage() (unreachable frames) and by the destructor.
   std::vector<std::shared_ptr<Environment>> arena_;
   /// Every closure ever created, weakly: the collector's root candidates.
-  std::vector<std::weak_ptr<Lambda>> lambdas_;
-  /// Bytecode closures, same weak-root protocol as lambdas_.
   std::vector<std::weak_ptr<VmClosure>> vm_closures_;
   std::size_t frames_since_gc_ = 0;
   std::size_t gc_threshold_ = 64;
 
-  Engine engine_ = Engine::Bytecode;
-  /// Compiled units keyed by source text (Bytecode engine only). A
-  /// migration callback evaluated once per migrated object compiles once
-  /// and replays thousands of times; this cache is where the VM's
-  /// end-to-end callback speedup comes from. Bounded: cleared wholesale
-  /// past kCompileCacheMax entries (callback workloads have a handful of
-  /// distinct sources; anything larger is a misuse, not a working set).
-  static constexpr std::size_t kCompileCacheMax = 256;
+  /// Compiled units keyed by source text. A migration callback evaluated
+  /// once per migrated object compiles once and replays thousands of
+  /// times; this cache is where the VM's end-to-end callback speedup comes
+  /// from. Bounded by kCompileCacheMax.
   std::unordered_map<std::string, std::shared_ptr<const Proto>>
       compile_cache_;
 

@@ -36,9 +36,7 @@ std::string Value::write() const {
   if (is_string()) return quote_string(as_string());
   if (is_symbol()) return as_symbol().name;
   if (is_builtin()) return "#<builtin>";
-  // Both closure kinds print identically: which engine compiled a lambda
-  // is invisible to a/L programs (the differential suite depends on this).
-  if (is_lambda() || is_vm_closure()) return "#<lambda>";
+  if (is_vm_closure()) return "#<lambda>";
   std::string out = "(";
   const List& l = as_list();
   for (std::size_t i = 0; i < l.size(); ++i) {

@@ -28,30 +28,13 @@ class AlError : public std::runtime_error {
 /// A native function exposed to a/L code.
 using Builtin = std::function<Value(std::vector<Value>&)>;
 
-/// A user-defined lambda: parameter names, body forms, captured environment.
+/// A closure over compiled bytecode (see bytecode.hpp).
 ///
-/// The captured frame is held as a NON-OWNING handle: the defining
+/// Its captured frame is held as a NON-OWNING handle: the defining
 /// Interpreter's environment arena owns every frame, and its cycle
 /// collector keeps a frame alive exactly as long as some reachable closure
 /// still captures it. This breaks the Environment <-> closure shared_ptr
 /// cycle that used to leak lambda-heavy programs at interpreter teardown.
-struct Lambda {
-  std::vector<std::string> params;
-  std::vector<Value> body;  // evaluated in sequence; last form is the result
-  std::weak_ptr<Environment> env;  ///< arena-owned frame (the common case)
-  /// Strong pin, used only when the defining frame is NOT arena-owned
-  /// (a caller-constructed Environment passed to Interpreter::eval). Such
-  /// frames can still cycle if they store self-referential closures; the
-  /// interpreter never creates them.
-  std::shared_ptr<Environment> pinned;
-
-  std::shared_ptr<Environment> captured() const {
-    return pinned ? pinned : env.lock();
-  }
-};
-
-/// A closure over compiled bytecode (see bytecode.hpp). Environment
-/// capture follows the same weak/pinned protocol as Lambda.
 struct VmClosure;
 
 /// Interned symbol (distinct from string).
@@ -75,7 +58,6 @@ class Value {
   Value(Symbol s) : v_(std::move(s)) {}                     // NOLINT
   Value(List l) : v_(std::move(l)) {}                       // NOLINT
   Value(Builtin f) : v_(std::move(f)) {}                    // NOLINT
-  Value(std::shared_ptr<Lambda> l) : v_(std::move(l)) {}    // NOLINT
   Value(std::shared_ptr<VmClosure> c) : v_(std::move(c)) {} // NOLINT
 
   static Value nil() { return Value(); }
@@ -90,15 +72,10 @@ class Value {
   bool is_symbol() const { return std::holds_alternative<Symbol>(v_); }
   bool is_list() const { return std::holds_alternative<List>(v_); }
   bool is_builtin() const { return std::holds_alternative<Builtin>(v_); }
-  bool is_lambda() const {
-    return std::holds_alternative<std::shared_ptr<Lambda>>(v_);
-  }
   bool is_vm_closure() const {
     return std::holds_alternative<std::shared_ptr<VmClosure>>(v_);
   }
-  bool is_callable() const {
-    return is_builtin() || is_lambda() || is_vm_closure();
-  }
+  bool is_callable() const { return is_builtin() || is_vm_closure(); }
 
   bool as_bool() const { return std::get<bool>(v_); }
   std::int64_t as_int() const { return std::get<std::int64_t>(v_); }
@@ -110,9 +87,6 @@ class Value {
   const List& as_list() const { return std::get<List>(v_); }
   List& as_list() { return std::get<List>(v_); }
   const Builtin& as_builtin() const { return std::get<Builtin>(v_); }
-  const std::shared_ptr<Lambda>& as_lambda() const {
-    return std::get<std::shared_ptr<Lambda>>(v_);
-  }
   const std::shared_ptr<VmClosure>& as_vm_closure() const {
     return std::get<std::shared_ptr<VmClosure>>(v_);
   }
@@ -130,8 +104,7 @@ class Value {
 
  private:
   std::variant<std::monostate, bool, std::int64_t, double, std::string, Symbol,
-               List, Builtin, std::shared_ptr<Lambda>,
-               std::shared_ptr<VmClosure>>
+               List, Builtin, std::shared_ptr<VmClosure>>
       v_;
 };
 

@@ -30,9 +30,9 @@ struct Frame {
 };
 
 /// Recycled machine buffers. A machine is constructed per host->a/L call
-/// (one per migrated object under the bytecode engine), so keeping the
-/// stack/frame/scratch capacity warm in a small thread-local pool removes
-/// three heap allocations from every call. Buffers are cleared before
+/// (one per migrated object), so keeping the stack/frame/scratch capacity
+/// warm in a small thread-local pool removes three heap allocations from
+/// every call. Buffers are cleared before
 /// being pooled — Value destructors run, so nothing lingers as a GC root
 /// or pins an interpreter's environments past the call.
 struct MachineBufs {
@@ -282,15 +282,6 @@ class Vm::Machine {
       stack_.resize(fn_at);
       frames_.push_back(Frame{&proto, clo->proto, std::move(env), 0, fn_at,
                               true, nullptr, false});
-      return;
-    }
-    if (fn.is_lambda()) {
-      // Tree-walker closure (defined under Engine::TreeWalker, or handed
-      // in by the host): re-enter the walker for its body.
-      std::vector<Value> args(std::make_move_iterator(stack_.begin() + fn_at + 1),
-                              std::make_move_iterator(stack_.end()));
-      stack_.resize(fn_at);
-      stack_.push_back(interp_.call(fn, std::move(args)));
       return;
     }
     throw AlError("not callable: " + fn.write());

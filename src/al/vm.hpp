@@ -4,10 +4,10 @@
 // Activation records are flat Frame structs in a std::vector with an
 // explicit instruction pointer — an a/L call pushes a Frame, a return pops
 // one, and the C++ stack never grows with a/L recursion. Variable scopes
-// are the interpreter's ordinary arena-owned Environment frames, so
-// closure capture, pinning, and the cycle collector behave identically to
-// the tree-walker (which remains available as the reference oracle via
-// Engine::TreeWalker).
+// are the interpreter's ordinary arena-owned Environment frames, so closure
+// capture, pinning, and the cycle collector work on them directly. The
+// recursive reference evaluator the VM is checked against lives in the
+// tests (tests/al_oracle.hpp).
 
 #include <memory>
 #include <vector>

@@ -548,7 +548,10 @@ std::int64_t Simulation::run(std::int64_t until) {
     }
     changed_list_.clear();
     ++step_epoch_;
-    ++timesteps;
+    if (!now_counted_) {
+      ++timesteps;
+      now_counted_ = true;
+    }
     wakeups_total += due_scratch_.size();
     if (obs::armed()) {
       obs::counter("hdl", "sim.deltas_per_step",
@@ -566,6 +569,7 @@ std::int64_t Simulation::run(std::int64_t until) {
     }
     if (next < 0 || next > until) break;
     now_ = next;
+    now_counted_ = false;
 
     // Apply matured scheduled updates.
     while (!future_.empty() && future_.front().time == now_) {

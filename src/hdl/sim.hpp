@@ -210,6 +210,10 @@ class Simulation {
   std::vector<std::size_t> due_scratch_;
 
   std::int64_t now_ = 0;
+  /// `now_` has been counted in hdl.sim.timesteps. A resumed run() settles
+  /// the current time again (host inputs may have changed in between) but
+  /// does not count it twice.
+  bool now_counted_ = false;
   std::uint64_t deltas_ = 0;
   std::uint64_t delta_limit_ = 100000;
 

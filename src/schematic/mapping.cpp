@@ -69,8 +69,7 @@ void apply_property_rules(const PropertyRuleSet& rules,
   }
 }
 
-CallbackHost::CallbackHost(al::Engine engine) : engine_(engine) {
-  interp_.set_engine(engine);
+CallbackHost::CallbackHost() {
   // Handle-based property access: callbacks receive an object handle; only
   // handle 0 (the object currently being migrated) is valid.
   auto check = [this](std::vector<al::Value>& args, std::size_t n,
@@ -130,18 +129,14 @@ bool CallbackHost::run(const CallbackRule& rule, const std::string& cell,
   bool ok = true;
   try {
     al::Value fn;
-    if (engine_ == al::Engine::Bytecode) {
-      auto it = compiled_.find(rule.source);
-      if (it != compiled_.end()) {
-        fn = it->second;
-      } else {
-        fn = interp_.eval_source(rule.source);
-        if (compiled_.size() >= 256) compiled_.clear();  // same bound as
-                                                         // the compile cache
-        compiled_.emplace(rule.source, fn);
-      }
+    auto it = compiled_.find(rule.source);
+    if (it != compiled_.end()) {
+      fn = it->second;
     } else {
       fn = interp_.eval_source(rule.source);
+      if (compiled_.size() >= al::Interpreter::kCompileCacheMax)
+        compiled_.clear();
+      compiled_.emplace(rule.source, fn);
     }
     if (!fn.is_callable())
       throw al::AlError("callback source did not evaluate to a function");

@@ -112,11 +112,7 @@ void apply_property_rules(const PropertyRuleSet& rules,
 /// handles, with prop-get / prop-set! / prop-delete! / prop-has? builtins.
 class CallbackHost {
  public:
-  /// `engine` selects the a/L evaluation engine. Bytecode (default)
-  /// compiles each callback source once and replays it per migrated
-  /// object; TreeWalker re-walks the AST every time (the reference
-  /// oracle, also what the differential tests compare against).
-  explicit CallbackHost(al::Engine engine = al::Engine::Bytecode);
+  CallbackHost();
 
   /// Run `rule` against `props` (object of cell `cell`). Returns false and
   /// reports a diagnostic when the callback throws.
@@ -127,13 +123,10 @@ class CallbackHost {
 
  private:
   al::Interpreter interp_;
-  al::Engine engine_;
-  /// Bytecode engine only: the evaluated callback closure per source
-  /// text, so a rule's source is compiled AND evaluated once, then the
-  /// same closure is replayed across every migrated object. Production
-  /// callback sources are single lambda expressions, so skipping the
-  /// re-evaluation is unobservable; the tree-walker deliberately stays
-  /// uncached as the reference oracle.
+  /// The evaluated callback closure per source text, so a rule's source
+  /// is compiled AND evaluated once, then the same closure is replayed
+  /// across every migrated object. Production callback sources are single
+  /// lambda expressions, so skipping the re-evaluation is unobservable.
   std::map<std::string, al::Value> compiled_;
   PropertySet* current_ = nullptr;  ///< object behind handle 0 during run()
 };

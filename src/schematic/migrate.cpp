@@ -75,7 +75,7 @@ MigrationResult migrate_design(const Design& src,
     out.add_symbol(std::move(copy));
   }
 
-  CallbackHost callbacks(config.al_engine);
+  CallbackHost callbacks;
 
   for (const auto& [cell, sch_src] : src.schematics()) {
     Schematic sch;

@@ -54,8 +54,6 @@ struct MigrationConfig {
   SymbolKey hier_out{"connectors", "opin", "symbol"};
   SymbolKey hier_inout{"connectors", "iopin", "symbol"};
   SymbolKey offpage{"connectors", "offpage", "symbol"};
-  /// a/L engine for property-migration callbacks (see CallbackHost).
-  al::Engine al_engine = al::Engine::Bytecode;
 };
 
 /// Counters for the migration report (one row per step in bench T2).

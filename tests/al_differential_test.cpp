@@ -1,10 +1,12 @@
 // AlDiff — the differential golden suite pinning the bytecode VM to the
-// tree-walker oracle. Every program runs on BOTH engines in fresh
-// interpreters; results (written values), error messages, post-GC arena
-// frame counts, and Environment live-count deltas must match exactly.
-// The migration half replays the generator's a/L callback workload — the
-// same scenarios the fuzz corpus drives — through both engines and
-// requires byte-identical migrated designs.
+// tree-walking oracle (al_oracle.hpp). Every program runs on BOTH
+// evaluators in fresh interpreters; results (written values), error
+// messages, post-GC arena frame counts, and live-frame deltas must match
+// exactly. The migration half replays the generator's a/L callback
+// workload — the same scenarios the fuzz corpus drives — instance by
+// instance through the product's CallbackHost and through the oracle's own
+// prop-* bridge, and requires identical properties, per-call results and
+// diagnostics, summing to the product migration's report.
 //
 // Suite names all start with AlDiff so CI's TSan/ASan label regex and the
 // nightly sweep can select them wholesale.
@@ -19,57 +21,71 @@
 
 #include "al/interp.hpp"
 #include "al/number.hpp"
+#include "al_oracle.hpp"
 #include "base/diagnostics.hpp"
 #include "fuzz/corpus.hpp"
 #include "schematic/generator.hpp"
 #include "schematic/migrate.hpp"
-#include "schematic/textio.hpp"
 
 namespace interop {
 namespace {
 
 using al::AlError;
-using al::Engine;
 using al::Interpreter;
 using al::Value;
+using al::oracle::Walker;
 
 // ------------------------------------------------------------- programs
 
 struct Outcome {
   bool ok = true;
-  std::string text;  ///< result .write(), or the error message
+  std::string text;  ///< result written, or the error message
   std::size_t arena_after_gc = 0;
-  std::int64_t live_delta = 0;  ///< Environment leak across teardown
+  std::int64_t live_delta = 0;  ///< frames leaked across teardown
 };
 
-Outcome run_program(Engine engine, const std::string& src,
+/// Scope frames alive in the process: the VM's and the oracle's.
+std::int64_t live_frames() {
+  return al::Environment::live_count() + al::oracle::Frame::live_count();
+}
+
+Outcome run_program(bool on_oracle, const std::string& src,
                     std::size_t step_limit = 0) {
-  std::int64_t live_before = al::Environment::live_count();
+  std::int64_t live_before = live_frames();
   Outcome o;
   {
-    Interpreter interp;
-    interp.set_engine(engine);
-    if (step_limit) interp.set_step_limit(step_limit);
+    Interpreter host;
+    Walker walker(host);
+    if (step_limit) {
+      host.set_step_limit(step_limit);
+      walker.set_step_limit(step_limit);
+    }
     try {
-      o.text = interp.eval_source(src).write();
+      o.text = al::oracle::write(on_oracle ? walker.eval_source(src)
+                                           : host.eval_source(src));
     } catch (const AlError& e) {
       o.ok = false;
       o.text = e.what();
     }
-    interp.collect_garbage();
-    o.arena_after_gc = interp.arena_frames();
+    if (on_oracle) {
+      walker.collect_garbage();
+      o.arena_after_gc = walker.arena_frames();
+    } else {
+      host.collect_garbage();
+      o.arena_after_gc = host.arena_frames();
+    }
   }
-  o.live_delta = al::Environment::live_count() - live_before;
+  o.live_delta = live_frames() - live_before;
   return o;
 }
 
 void expect_engines_agree(const std::string& src, std::size_t step_limit = 0) {
-  Outcome walker = run_program(Engine::TreeWalker, src, step_limit);
-  Outcome vm = run_program(Engine::Bytecode, src, step_limit);
-  EXPECT_EQ(walker.ok, vm.ok) << src;
-  EXPECT_EQ(walker.text, vm.text) << src;
-  EXPECT_EQ(walker.arena_after_gc, vm.arena_after_gc) << src;
-  EXPECT_EQ(walker.live_delta, vm.live_delta) << src;
+  Outcome oracle = run_program(true, src, step_limit);
+  Outcome vm = run_program(false, src, step_limit);
+  EXPECT_EQ(oracle.ok, vm.ok) << src;
+  EXPECT_EQ(oracle.text, vm.text) << src;
+  EXPECT_EQ(oracle.arena_after_gc, vm.arena_after_gc) << src;
+  EXPECT_EQ(oracle.live_delta, vm.live_delta) << src;
   EXPECT_EQ(vm.live_delta, 0) << src << " leaked environments";
 }
 
@@ -205,29 +221,30 @@ TEST(AlDiffErrors, ErrorMessagesAgreeAcrossEngines) {
 }
 
 TEST(AlDiffErrors, StepLimitAgreesAcrossEngines) {
-  // Both engines must hit the budget (exact step accounting differs — the
-  // walker counts forms, the VM counts instructions — but the observable
-  // error is the same).
+  // Both evaluators must hit the budget (exact step accounting differs —
+  // the walker counts forms, the VM counts instructions — but the
+  // observable error is the same).
   expect_engines_agree("(while #t 1)", /*step_limit=*/10000);
 }
 
 // number->string / string->number round-trip doubles bit-exactly, and both
-// engines print the same shortest form.
+// evaluators print the same shortest form.
 TEST(AlDiffRoundTrip, DoubleFormattingRoundTrips) {
   const double cases[] = {0.1,    1.0 / 3.0, 1e-7,   12345.6789, 1e300,
                           5e-324, 2.5,       -0.0,   1e16,       0.3333333,
                           3.141592653589793, -271.828};
   for (double d : cases) {
     std::string printed = al::format_double(d);
-    for (Engine e : {Engine::TreeWalker, Engine::Bytecode}) {
-      Interpreter interp;
-      interp.set_engine(e);
-      Value back =
-          interp.eval_source("(string->number \"" + printed + "\")");
+    for (bool on_oracle : {true, false}) {
+      Interpreter host;
+      Walker walker(host);
+      auto eval = [&](const std::string& src) {
+        return on_oracle ? walker.eval_source(src) : host.eval_source(src);
+      };
+      Value back = eval("(string->number \"" + printed + "\")");
       ASSERT_TRUE(back.is_double()) << printed;
       EXPECT_EQ(back.as_double(), d) << printed;  // exact, not approximate
-      EXPECT_EQ(interp.eval_source("(number->string " + printed + ")")
-                    .as_string(),
+      EXPECT_EQ(eval("(number->string " + printed + ")").as_string(),
                 printed);
     }
   }
@@ -235,32 +252,24 @@ TEST(AlDiffRoundTrip, DoubleFormattingRoundTrips) {
 
 // ------------------------------------------------------------ migration
 
-/// Run the full §2 migration with the given a/L engine; returns the
-/// serialized migrated design plus callback/diagnostic counts.
-struct MigrationOutcome {
-  std::string design_text;
-  std::size_t callbacks_run = 0;
-  std::size_t errors = 0;
-};
-
-MigrationOutcome migrate_with(Engine engine, const sch::GeneratorOptions& opt) {
+/// Migrate the scenario with the product, then replay step 2 (property
+/// rules, then callbacks) per source instance through the product's
+/// CallbackHost and through the oracle. Every instance must agree, and the
+/// product replay must sum to the migration's own report.
+void expect_migrations_agree(const sch::GeneratorOptions& opt) {
   sch::Scenario scenario = sch::make_exar_scenario(opt);
-  scenario.config.al_engine = engine;
   base::DiagnosticEngine diags;
   sch::MigrationResult result =
       sch::migrate_design(scenario.source, scenario.config, diags);
-  return {sch::write_design(result.design), result.report.props.callbacks_run,
-          diags.count(base::Severity::Error)};
-}
-
-void expect_migrations_agree(const sch::GeneratorOptions& opt) {
-  MigrationOutcome walker = migrate_with(Engine::TreeWalker, opt);
-  MigrationOutcome vm = migrate_with(Engine::Bytecode, opt);
-  ASSERT_GT(walker.callbacks_run, 0u) << "scenario exercised no callbacks";
-  EXPECT_EQ(walker.callbacks_run, vm.callbacks_run) << "seed " << opt.seed;
-  EXPECT_EQ(walker.errors, vm.errors) << "seed " << opt.seed;
-  EXPECT_EQ(walker.design_text, vm.design_text)
-      << "migrated designs diverged at seed " << opt.seed;
+  al::oracle::CallbackReplay replay = al::oracle::callback_replay(
+      scenario.source, scenario.config.property_rules);
+  ASSERT_GT(replay.callbacks_run, 0u) << "scenario exercised no callbacks";
+  EXPECT_EQ(replay.callbacks_run, result.report.props.callbacks_run)
+      << "seed " << opt.seed;
+  EXPECT_EQ(replay.callback_errors, diags.count_code("callback-failed"))
+      << "seed " << opt.seed;
+  for (const std::string& m : replay.mismatches)
+    ADD_FAILURE() << "seed " << opt.seed << ": " << m;
 }
 
 TEST(AlDiffMigration, ExarScenarioMigrationsAgree) {
@@ -272,9 +281,9 @@ TEST(AlDiffMigration, ExarScenarioMigrationsAgree) {
   }
 }
 
-// Replay the fuzz corpus' schematic callback specs through both engines:
-// the same generator parameters the reproducers pin, compared at the
-// migrated-design level.
+// Replay the fuzz corpus' schematic callback specs through both
+// evaluators: the same generator parameters the reproducers pin, compared
+// instance by instance.
 TEST(AlDiffMigration, CorpusCallbackSpecsAgree) {
 #ifndef INTEROP_CORPUS_DIR
   GTEST_SKIP() << "corpus dir not configured";

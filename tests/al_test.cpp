@@ -7,6 +7,7 @@
 #include "al/interp.hpp"
 #include "al/number.hpp"
 #include "al/reader.hpp"
+#include "al_oracle.hpp"
 
 namespace interop::al {
 namespace {
@@ -157,13 +158,42 @@ TEST(Reader, CommaDecimalLocaleDoesNotChangeParsing) {
 
 // ------------------------------------------------------------------- eval
 
-/// The whole evaluator suite runs on BOTH engines: the tree-walker oracle
-/// and the bytecode VM must be observationally identical.
+/// The whole evaluator suite runs on BOTH evaluators: the tree-walking
+/// oracle (al_oracle.hpp) and the bytecode VM must be observationally
+/// identical.
+enum class Engine { TreeWalker, Bytecode };
+
+/// The part of Interpreter's interface the suite drives, dispatched to the
+/// evaluator under test. Both share the host's builtins.
+class Evaluator {
+ public:
+  explicit Evaluator(Engine engine) : engine_(engine) {}
+  Value eval_source(const std::string& src) {
+    return engine_ == Engine::Bytecode ? host_.eval_source(src)
+                                       : walker_.eval_source(src);
+  }
+  void set_step_limit(std::size_t steps) {
+    host_.set_step_limit(steps);
+    walker_.set_step_limit(steps);
+  }
+  void set_max_call_depth(std::size_t depth) {
+    host_.set_max_call_depth(depth);
+    walker_.set_max_call_depth(depth);
+  }
+  void register_builtin(const std::string& name, Builtin fn) {
+    host_.register_builtin(name, std::move(fn));
+  }
+
+ private:
+  Engine engine_;
+  Interpreter host_;
+  oracle::Walker walker_{host_};
+};
+
 class AlEval : public ::testing::TestWithParam<Engine> {
  protected:
-  AlEval() { interp.set_engine(GetParam()); }
   Value run(const std::string& src) { return interp.eval_source(src); }
-  Interpreter interp;
+  Evaluator interp{GetParam()};
 };
 
 INSTANTIATE_TEST_SUITE_P(Engines, AlEval,

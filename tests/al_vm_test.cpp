@@ -1,8 +1,7 @@
-// Bytecode-engine-specific tests: properties of the compiler/VM that the
-// differential suite cannot see because the tree-walker has no equivalent
-// (disassembly, constant folding, flat-frame recursion depth beyond the
-// C++ stack, compile caching) plus mixed-engine interop, where closures
-// from one engine are called by the other.
+// Bytecode-specific tests: properties of the compiler/VM that the
+// differential suite cannot see because the tree-walking oracle has no
+// equivalent (disassembly, constant folding, flat-frame recursion depth
+// beyond the C++ stack, compile caching, closure expiry).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +13,7 @@
 #include "al/interp.hpp"
 #include "al/reader.hpp"
 #include "al/vm.hpp"
+#include "al_oracle.hpp"
 
 namespace interop::al {
 namespace {
@@ -54,16 +54,15 @@ TEST(AlVm, ConstantFoldingCollapsesPureBuiltinCalls) {
 
 TEST(AlVm, FoldFailureFallsBackToRuntimeError) {
   Interpreter interp;
-  interp.set_engine(Engine::Bytecode);
   // (substring "ab" 5 9) is whitelisted + all literals, but throws when
   // folded; compilation must keep the runtime call, and the runtime error
-  // must match the walker's.
+  // must match the oracle's.
   try {
     interp.eval_source("(substring \"ab\" 5 9)");
     FAIL() << "expected AlError";
   } catch (const AlError& e) {
-    Interpreter walker;
-    walker.set_engine(Engine::TreeWalker);
+    Interpreter host;
+    oracle::Walker walker(host);
     try {
       walker.eval_source("(substring \"ab\" 5 9)");
       FAIL() << "walker accepted it";
@@ -77,7 +76,6 @@ TEST(AlVm, DeepRecursionUsesFlatFramesNotTheCxxStack) {
   // 20000 activation records would overflow a native stack if each VM call
   // recursed in C++; the flat frame vector makes this just memory.
   Interpreter interp;
-  interp.set_engine(Engine::Bytecode);
   interp.set_max_call_depth(25000);
   Value out = interp.eval_source(
       "(define (count n) (if (<= n 0) 0 (+ 1 (count (- n 1)))))"
@@ -85,38 +83,16 @@ TEST(AlVm, DeepRecursionUsesFlatFramesNotTheCxxStack) {
   EXPECT_EQ(out.as_int(), 20000);
 }
 
-TEST(AlVm, MixedEngineClosuresInteroperate) {
-  // A VM closure handed to the walker's higher-order builtins, and a
-  // walker lambda called from VM code, must both work: host code sees one
-  // is_callable() protocol regardless of which engine built the value.
-  Interpreter vm_interp;
-  vm_interp.set_engine(Engine::Bytecode);
-  Value vm_fn = vm_interp.eval_source("(lambda (x) (* x 10))");
-  ASSERT_TRUE(vm_fn.is_vm_closure());
-  EXPECT_EQ(vm_interp.call(vm_fn, {Value(std::int64_t(4))}).as_int(), 40);
-
-  // Walker lambda invoked while the engine is set to Bytecode: Call op
-  // reenters the tree-walker.
-  Interpreter interp;
-  interp.set_engine(Engine::TreeWalker);
-  interp.eval_source("(define (twice f x) (f (f x)))");
-  interp.set_engine(Engine::Bytecode);
-  Value out = interp.eval_source("(twice (lambda (n) (+ n 3)) 1)");
-  EXPECT_EQ(out.as_int(), 7);
-}
-
 TEST(AlVm, ExpiredClosureEnvironmentErrors) {
   Value escaped;
   {
     Interpreter interp;
-    interp.set_engine(Engine::Bytecode);
     escaped = interp.eval_source("(let ((n 5)) (lambda () n))");
     ASSERT_TRUE(escaped.is_vm_closure());
     // Still alive: callable while the defining interpreter exists.
     EXPECT_EQ(interp.call(escaped, {}).as_int(), 5);
   }
   Interpreter other;
-  other.set_engine(Engine::Bytecode);
   try {
     other.call(escaped, {});
     FAIL() << "expected expired-environment error";
@@ -131,7 +107,6 @@ TEST(AlVm, CompileCacheReusesProtosAcrossEvals) {
   // cache must return the same compiled unit while still re-executing it
   // (fresh defines each time), and must not leak state between runs.
   Interpreter interp;
-  interp.set_engine(Engine::Bytecode);
   const std::string src = "(define n 1) (set! n (+ n 1)) n";
   for (int i = 0; i < 100; ++i)
     EXPECT_EQ(interp.eval_source(src).as_int(), 2) << "iteration " << i;
@@ -139,7 +114,6 @@ TEST(AlVm, CompileCacheReusesProtosAcrossEvals) {
 
 TEST(AlVm, StepLimitAppliesPerTopLevelEval) {
   Interpreter interp;
-  interp.set_engine(Engine::Bytecode);
   interp.set_step_limit(200);
   EXPECT_THROW(interp.eval_source("(define i 0) (while (< i 100000)"
                                   " (set! i (+ i 1)))"),
@@ -150,7 +124,6 @@ TEST(AlVm, StepLimitAppliesPerTopLevelEval) {
 
 TEST(AlVm, GcReclaimsVmClosureCycles) {
   Interpreter interp;
-  interp.set_engine(Engine::Bytecode);
   interp.eval_source(
       "(define (spin k)"
       "  (if (> k 0)"

@@ -146,9 +146,9 @@ TEST(Sim, RunAddsItsCountsToTheRegistry) {
   // Times 0, 5, 10, 15, 20; the always block runs on the rises at 5 and
   // 15; the thread starts at 0 and wakes at each toggle.
   expect_run_adds(23, 5, 2, 5);
-  // The first step settles the current time (20) again, then 25, 30, 35,
-  // 40; rises at 25 and 35.
-  expect_run_adds(43, 5, 2, 4);
+  // The current time (20) is settled again but not counted again; then 25,
+  // 30, 35, 40; rises at 25 and 35.
+  expect_run_adds(43, 4, 2, 4);
 }
 
 TEST(Sim, GateDelayPropagates) {
