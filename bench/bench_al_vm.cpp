@@ -21,7 +21,9 @@
 // replay of each migration's callback step), and the VM's callback
 // throughput is at least 10x the oracle's.
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -200,17 +202,24 @@ int main() {
   // --------------------------------------------------------- callback
   {
     const int iters = 20'000;
-    std::string walker_out, vm_out;
-    std::uint64_t walker_us =
-        run_callbacks<al::oracle::CallbackOracle>(iters, walker_out);
-    std::uint64_t vm_us = run_callbacks<sch::CallbackHost>(iters, vm_out);
-    require(walker_out == vm_out,
-            "oracle and VM transformed objects identically");
+    const int reps = 5;
+    // Each side's time is its fastest of `reps` interleaved repetitions: a
+    // single timing per side let load on a shared host swing the ratio
+    // between 12x and 22x.
+    std::uint64_t walker_us = UINT64_MAX, vm_us = UINT64_MAX;
+    for (int rep = 0; rep < reps; ++rep) {
+      std::string walker_out, vm_out;
+      walker_us = std::min(walker_us, run_callbacks<al::oracle::CallbackOracle>(
+                                          iters, walker_out));
+      vm_us = std::min(vm_us, run_callbacks<sch::CallbackHost>(iters, vm_out));
+      require(walker_out == vm_out,
+              "oracle and VM transformed objects identically");
+    }
     double walker_per_s = 1e6 * double(iters) / double(walker_us);
     double vm_per_s = 1e6 * double(iters) / double(vm_us);
     double speedup = vm_us ? double(walker_us) / double(vm_us) : 0;
     require(speedup >= 10.0, "bytecode callback throughput >= 10x walker");
-    js << " \"callback\": {\"iters\": " << iters
+    js << " \"callback\": {\"iters\": " << iters << ", \"reps\": " << reps
        << ", \"walker_per_s\": " << std::uint64_t(walker_per_s)
        << ", \"bytecode_per_s\": " << std::uint64_t(vm_per_s)
        << ", \"speedup_x\": " << speedup << "},\n";

@@ -134,14 +134,12 @@ struct WorkloadResult {
   double speedup = 0;
   double busy_ms = 0;       ///< sum of step spans (journal busy_us)
   double utilization = 0;   ///< busy / (wall * workers)
-  int batches = 0;          ///< scheduler claims (cold run)
-  int steals = 0;           ///< batches run by a worker that did not claim them
-  int fastpath = 0;         ///< whole-frontier serial claims
+  int batches = 0;          ///< scheduler claims, one step each (cold run)
+  int steals = 0;           ///< claims run by a worker that did not queue them
   int warm_executed = -1;
   int warm_cache_hits = 0;
   double warm_ms = 0;
   int warm_batches = 0;
-  int warm_fastpath = 0;
   std::string journal_json;
 };
 
@@ -176,7 +174,6 @@ WorkloadResult run_workload(const FlowTemplate& flow, int workers,
     r.parallel_ms = ms_since(t0);
     r.batches = stats.batches;
     r.steals = stats.steals;
-    r.fastpath = stats.fastpath;
     RunJournal::Summary sum = par.journal().summary(par.engine().instance());
     r.busy_ms = double(sum.busy_us) / 1000.0;
     // Worker utilization: the share of the pool's wall-clock capacity spent
@@ -199,7 +196,6 @@ WorkloadResult run_workload(const FlowTemplate& flow, int workers,
     r.warm_executed = stats.executed;
     r.warm_cache_hits = stats.cache_hits;
     r.warm_batches = stats.batches;
-    r.warm_fastpath = stats.fastpath;
   }
   return r;
 }
@@ -211,11 +207,10 @@ void emit(std::ostream& os, const std::string& name,
      << ",\"parallel_ms\":" << r.parallel_ms << ",\"speedup\":" << r.speedup
      << ",\"busy_ms\":" << r.busy_ms << ",\"utilization\":" << r.utilization
      << ",\"sched\":{\"batches\":" << r.batches << ",\"steals\":" << r.steals
-     << ",\"fastpath\":" << r.fastpath << "}"
+     << "}"
      << ",\"warm\":{\"executed\":" << r.warm_executed
      << ",\"cache_hits\":" << r.warm_cache_hits << ",\"ms\":" << r.warm_ms
-     << ",\"batches\":" << r.warm_batches
-     << ",\"fastpath\":" << r.warm_fastpath << "}";
+     << ",\"batches\":" << r.warm_batches << "}";
   if (with_journal) os << ",\"journal\":" << r.journal_json;
   os << "}";
 }
@@ -297,7 +292,7 @@ int main(int argc, char** argv) {
             << methodology.serial_ms << " ms, parallel "
             << methodology.parallel_ms << " ms (" << methodology.speedup
             << "x, utilization " << int(methodology.utilization * 100)
-            << "%, " << methodology.batches << " batches, "
+            << "%, " << methodology.batches << " claims, "
             << methodology.steals << " steals), warm executed "
             << methodology.warm_executed << "\n";
   return pass ? 0 : 1;

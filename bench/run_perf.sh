@@ -84,8 +84,8 @@ check_json "$tmp" "$obs_bin"
 cp "$tmp" "$obs_out"
 echo "wrote $obs_out"
 
-# Scheduler bench: batched executor vs the serial engine —
-# per-workload speedup, worker utilization (busy/wall), batch/steal/fastpath
+# Scheduler bench: parallel executor vs the serial engine —
+# per-workload speedup, worker utilization (busy/wall), claim/steal
 # counts, warm-cache replay (self-checking; see EXPERIMENTS.md §P2). The
 # fanout journal dump is for ad-hoc inspection and is stripped from the
 # checked-in file to keep it reviewable.

@@ -5,24 +5,15 @@
 // re-executing) and the RunJournal (per-attempt timing, cache hit/miss,
 // worker id, critical path — exported as JSON).
 //
-// Scheduling model: one mutex (mu_) guards all engine state — step
-// states, the data store, variables, tool sessions, metrics — and the one
-// FIFO ready queue of claimed batches. A worker holds mu_ except while it
-// runs a batch's steps. In one lock section it applies the batch it just
-// ran, claims every runnable step at once, partitions the claims into
-// batches and pops the next batch from the queue; with nothing to pop it
-// waits on cv_. Sub-threshold steps coalesce up to max_batch per batch,
-// expensive steps get a batch of their own. The cost threshold is tuned
-// online from a per-run log2 histogram of observed step durations (see
-// src/obs/metrics.hpp), so a flow of 4 µs bookkeeping steps batches wide
-// while 3 ms tool steps keep per-step claims and full overlap. Results
-// are applied per batch, preserving the engine's stale-input rework check
-// per step. When the whole remaining frontier is sub-threshold and nothing
-// else is in flight, the *serial fast path* claims the entire frontier as
-// one batch; being the only queued batch, the claiming worker pops it
-// itself — a scheduling-bound flow degrades to serial execution with one
-// lock acquisition per frontier wave instead of 7%-utilization lock
-// ping-pong (EXPERIMENTS.md §O1/§P2).
+// Scheduling model: one step per claim, one FIFO queue, one lock. One
+// mutex (mu_) guards all engine state — step states, the data store,
+// variables, tool sessions, metrics — and the FIFO ready_ queue of claimed
+// steps. A worker holds mu_ except while it runs its step. In one lock
+// section it applies the step it just ran (with the engine's stale-input
+// rework check), claims the whole runnable frontier at once
+// (Engine::begin_steps), queues each claim on ready_ and pops the next;
+// with nothing to pop it waits on cv_. A claim queued by one worker and
+// popped by another is counted as a handoff (RunStats::steals).
 //
 // Fault tolerance (see fault.hpp/retry.hpp): each claimed step runs an
 // attempt loop — a failed or timed-out attempt is retried in place (the
@@ -33,7 +24,7 @@
 // actions poll ActionApi::cancel_requested(), injected hangs block on the
 // token); with no step timeout it starts no thread at all.
 // request_stop() cancels everything in flight ("kill"); already-claimed
-// batches still execute and apply so the journal stays consistent.
+// steps still execute and apply so the journal stays consistent.
 // resume_run() restarts a killed run from a prior journal's completion
 // markers, replaying journaled-complete steps through the ResultCache and
 // re-executing only lost work.
@@ -69,9 +60,6 @@ struct ExecutorOptions {
   RetryPolicy retry;
   /// Cooperative per-attempt timeout; 0 disables the watchdog.
   std::uint64_t step_timeout_us = 0;
-  /// Most sub-threshold steps coalesced into one claim. 1 restores the
-  /// legacy per-step claim/apply cadence (every batch is a single step).
-  int max_batch = 16;
 };
 
 struct RunStats {
@@ -83,9 +71,8 @@ struct RunStats {
   int failures = 0;      ///< final, state-changing failures
   int faults_injected = 0;
   int timeouts = 0;      ///< attempts cancelled by the watchdog
-  int batches = 0;       ///< scheduler batches formed (claim lock sections)
-  int steals = 0;        ///< batches run by a worker that did not claim them
-  int fastpath = 0;      ///< whole-frontier serial fast-path batches
+  int batches = 0;       ///< claims queued (one step each)
+  int steals = 0;        ///< claims run by a worker that did not queue them
   bool livelock = false;
   bool stopped = false;  ///< request_stop() ended the run early
   std::uint64_t wall_us = 0;
@@ -118,7 +105,7 @@ class ParallelExecutor {
   RunStats resume_run(const RunJournal& prior);
 
   /// Cooperatively stop an in-progress run(): no new claims, every armed
-  /// attempt's CancelToken fires. In-flight batches still execute and apply
+  /// attempt's CancelToken fires. Claimed steps still execute and apply
   /// their (likely failed) results, so the journal stays consistent — this
   /// is the "kill" half of crash-recovery testing and a graceful-shutdown
   /// API. Safe to call from any thread, including from inside an action.
@@ -145,25 +132,19 @@ class ParallelExecutor {
   std::uint64_t watchdog_wakeups() const;
 
  private:
-  /// One claimed step riding in a batch.
-  struct BatchItem {
+  /// One claimed step: queued on ready_, run by whichever worker pops it.
+  struct Claim {
+    std::uint64_t id = 0;  ///< 1..N per run (JournalEntry::batch)
+    int claimer = 0;       ///< worker whose lock section queued the claim
     std::string name;
     bool was_rerun = false;
     bool has_key = false;
     std::uint64_t key = 0;
     std::shared_ptr<const CacheEntry> entry;  ///< non-null = replay
   };
-  /// A unit of scheduling: one mu_ acquisition claimed these steps; one
-  /// worker executes them back-to-back and applies them under one more.
-  struct Batch {
-    std::uint64_t id = 0;
-    int claimer = 0;  ///< worker whose lock section formed the batch
-    bool fastpath = false;
-    std::vector<BatchItem> items;
-  };
-  /// A finished batch item waiting for the batched apply.
-  struct ItemOutcome {
-    BatchItem item;
+  /// A finished claim waiting for its apply.
+  struct Outcome {
+    Claim claim;
     JournalEntry rec;
     wf::ActionResult result;
     wf::ActionApi api;
@@ -173,31 +154,16 @@ class ParallelExecutor {
     bool replay = false;
   };
 
-  /// Estimated p50 step cost from the local log2 histogram (bucket upper
-  /// bound of the median sample). Call with mu_ held.
-  std::uint64_t hist_p50_locked() const;
-  /// Current batchable-cost bound in µs, tuned online from the observed
-  /// per-step-cost log2 histogram: min(4 × p50, 32 µs) — the cap keeps
-  /// batching strictly below real tool latencies, where coalescing would
-  /// serialize overlap to save mere lock traffic. With no samples at all
-  /// nothing batches, so a cold run of expensive steps keeps full overlap.
-  std::uint64_t batch_threshold_locked() const;
-  /// Estimated cost of one step in µs (last observation, else p50, else
-  /// "unknown" = UINT64_MAX which never batches).
-  std::uint64_t estimate_locked(const std::string& name) const;
-  /// Claim the whole runnable frontier, partition it into batches and
-  /// queue them on ready_. Detects livelock (sets stats_/stop_) like the
-  /// serial engine.
-  void form_batches_locked(int worker_id);
+  /// Claim the whole runnable frontier and queue one Claim per step on
+  /// ready_. Detects livelock (sets stats_/stop_) like the serial engine.
+  void claim_frontier_locked(int worker_id);
   void worker_loop(int worker_id);
-  /// Replay one cached item (no faults, no retries); called unlocked.
-  ItemOutcome replay_item(BatchItem item, int worker_id,
-                          std::uint64_t batch_id);
-  /// Attempt loop for one item (faults, retries, timeout); called unlocked.
-  ItemOutcome execute_item(BatchItem item, int worker_id,
-                           std::uint64_t batch_id);
+  /// Replay one cached claim (no faults, no retries); called unlocked.
+  Outcome replay_claim(Claim claim, int worker_id);
+  /// Attempt loop for one claim (faults, retries, timeout); called unlocked.
+  Outcome execute_claim(Claim claim, int worker_id);
   /// Engine apply + stats + cache store + journal record for one outcome.
-  void apply_outcome_locked(ItemOutcome& o);
+  void apply_outcome_locked(Outcome& o);
   RunStats run_impl(const std::set<std::string>* journaled_complete);
 
   wf::Engine engine_;
@@ -212,19 +178,14 @@ class ParallelExecutor {
 
   std::mutex mu_;  ///< the engine's concurrency guard during run()
   std::condition_variable cv_;
-  std::deque<Batch> ready_;     ///< claimed batches not yet popped (FIFO)
+  std::deque<Claim> ready_;     ///< claims not yet popped (FIFO)
   bool stop_ = false;           ///< no new claims; drain and exit
-  int live_batches_ = 0;        ///< formed but not yet fully applied
-  int busy_workers_ = 0;        ///< executing a batch (obs gauge)
-  std::uint64_t next_batch_id_ = 0;
+  int live_claims_ = 0;         ///< queued but not yet applied
+  int busy_workers_ = 0;        ///< executing a step (obs gauge)
+  std::uint64_t next_claim_id_ = 0;
   /// Read unlocked by attempt loops deciding whether to keep retrying.
   std::atomic<bool> stop_requested_{false};
   std::map<std::string, int> scheduled_;  ///< per-step claims, this run
-  /// Last observed duration per step name (µs), feeding batch estimates.
-  std::map<std::string, std::uint64_t> cost_est_us_;
-  /// Per-executor log2 histogram of observed step costs (threshold tuning
-  /// stays local: a busy process-wide histogram must not skew this run).
-  obs::MetricHistogram cost_hist_;
   const std::set<std::string>* resume_complete_ = nullptr;
   RunStats stats_;
 
@@ -238,10 +199,11 @@ class ParallelExecutor {
   obs::MetricCounter& m_faults_;
   obs::MetricCounter& m_timeouts_;
   obs::MetricCounter& m_steals_;
-  obs::MetricCounter& m_fastpath_;
   obs::MetricHistogram& m_step_us_;
   obs::MetricHistogram& m_replay_us_;
-  obs::MetricHistogram& m_batch_size_;
+  /// "sched.batch_size": one observation (of 1) per claim. Only its count
+  /// is read — perfbench's service workload counts claims from it.
+  obs::MetricHistogram& m_claims_;
 };
 
 }  // namespace interop::runtime

@@ -38,10 +38,11 @@ struct JournalEntry {
   std::uint64_t span = 0;      ///< obs trace span id (0 = tracing was off);
                                ///< JSON-only, not part of the v1 text form
                                ///< (spans aren't needed for crash recovery)
-  std::uint64_t batch = 0;     ///< scheduler batch id (0 = unbatched claim);
-                               ///< JSON-only, like span: batch grouping is
-                               ///< diagnostic, not needed for recovery, and
-                               ///< the v1 text form stays byte-stable
+  std::uint64_t batch = 0;     ///< claim id, 1..N per run (0 = unknown,
+                               ///< e.g. loaded from text); JSON-only,
+                               ///< like span: claim ids are diagnostic,
+                               ///< not needed for recovery, and the v1
+                               ///< text form stays byte-stable
 };
 
 class RunJournal {

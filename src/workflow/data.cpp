@@ -69,44 +69,6 @@ std::optional<std::string> VersioningDataManager::read_revision(
   return it->second[rev - 1].content;
 }
 
-SynchronizedDataManager::SynchronizedDataManager(
-    std::unique_ptr<DataManager> inner)
-    : inner_(std::move(inner)) {
-  // Re-publish the inner store's change events through the wrapper so
-  // engines subscribed to the wrapper see every write. The inner notify
-  // runs inside write() below, i.e. under mu_.
-  inner_->add_listener(
-      [this](const std::string& path, LogicalTime t) { notify(path, t); });
-}
-
-void SynchronizedDataManager::write(const std::string& path,
-                                    std::string content) {
-  std::lock_guard<std::mutex> lock(mu_);
-  inner_->write(path, std::move(content));
-}
-
-std::optional<std::string> SynchronizedDataManager::read(
-    const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inner_->read(path);
-}
-
-std::optional<LogicalTime> SynchronizedDataManager::timestamp(
-    const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inner_->timestamp(path);
-}
-
-std::vector<std::string> SynchronizedDataManager::list() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inner_->list();
-}
-
-LogicalTime SynchronizedDataManager::now() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inner_->now();
-}
-
 void VariablePool::set(const std::string& name, std::string value) {
   vars_[name] = std::move(value);
 }

@@ -14,7 +14,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -99,31 +98,6 @@ class VersioningDataManager : public DataManager {
     LogicalTime time;
   };
   std::map<std::string, std::vector<Revision>> files_;
-};
-
-/// Thread-safe decorator over any DataManager: serializes every operation
-/// on an internal mutex so parallel runtime workers (and external threads)
-/// can share one store. The wrapped store keeps the logical clock; listener
-/// callbacks registered on the wrapper fire under the wrapper's lock, so
-/// keep them short and do not call back into the store from them.
-class SynchronizedDataManager : public DataManager {
- public:
-  explicit SynchronizedDataManager(std::unique_ptr<DataManager> inner);
-
-  void write(const std::string& path, std::string content) override;
-  std::optional<std::string> read(const std::string& path) const override;
-  std::optional<LogicalTime> timestamp(
-      const std::string& path) const override;
-  std::vector<std::string> list() const override;
-  LogicalTime now() const override;
-
-  /// The wrapped store (e.g. to reach VersioningDataManager extras).
-  /// Unsynchronized: only touch it when no other thread is active.
-  DataManager& inner() { return *inner_; }
-
- private:
-  std::unique_ptr<DataManager> inner_;
-  mutable std::mutex mu_;
 };
 
 /// Workflow data variables: metadata proxies "allowing information about

@@ -74,7 +74,6 @@ void ActionApi::set_step_state_failure(const std::string& reason) {
 std::string ActionApi::tool_request(const std::string& tool,
                                     const std::string& cmd) {
   auto lock = engine_.guard_lock();
-  ++tool_requests_;
   engine_.metrics_.tool_requests++;
   return engine_.tool(tool).request(cmd);
 }
@@ -259,8 +258,7 @@ bool Engine::begin_step(const std::string& name, bool* was_rerun) {
 
 void Engine::apply_step_result(const std::string& name,
                                const ActionResult& result,
-                               const ActionApi& api, bool was_rerun,
-                               bool refresh) {
+                               const ActionApi& api, bool was_rerun) {
   StepStatus* status = instance_.find(name);
   if (!status || status->state != StepState::Running) return;
 
@@ -329,7 +327,7 @@ void Engine::apply_step_result(const std::string& name,
       break;
     }
   }
-  if (refresh) refresh_readiness();
+  refresh_readiness();
 }
 
 void Engine::note_failed_attempt(const std::string& name,

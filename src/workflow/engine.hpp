@@ -80,7 +80,6 @@ class Engine {
   /// restores serial (unlocked) mode. While a guard is installed, callers
   /// of begin_step()/apply_step_result()/runnable_steps() must hold it.
   void set_concurrency_guard(std::mutex* mu) { guard_ = mu; }
-  std::mutex* concurrency_guard() const { return guard_; }
 
   /// Steps currently claimable: Ready or NeedsRerun, role-permitted,
   /// ordered by topological rank (upstream first) then name.
@@ -96,22 +95,17 @@ class Engine {
     std::string name;
     bool was_rerun = false;
   };
-  /// Batch claim: recompute readiness once, then claim every step in
+  /// Frontier claim: recompute readiness once, then claim every step in
   /// `names` that is claimable (Ready or NeedsRerun, role-permitted).
   /// Returns the granted claims in input order; non-claimable names are
-  /// skipped silently (the batch analogue of begin_step losing a race).
+  /// skipped silently (begin_step losing a race, without the diagnostic).
   std::vector<StepClaim> begin_steps(const std::vector<std::string>& names);
 
   /// Apply an action's result to a Running step: success/failure policy,
   /// metrics, finish dependencies, stale-input detection, and readiness
-  /// refresh — the bookkeeping tail of run_step(). A batch applier can pass
-  /// `refresh = false` per result and call refresh_readiness() once after
-  /// the whole batch: readiness is only read at claim time, so deferring
-  /// the recomputation across consecutive applies is observationally
-  /// identical while dropping its O(steps·deps) cost from every apply.
+  /// refresh — the bookkeeping tail of run_step().
   void apply_step_result(const std::string& name, const ActionResult& result,
-                         const ActionApi& api, bool was_rerun,
-                         bool refresh = true);
+                         const ActionApi& api, bool was_rerun);
 
   /// Note a failed attempt of a Running step that the runtime will retry in
   /// place: records per-step/global failed-attempt counts and the attempt

@@ -81,7 +81,6 @@ class ActionApi {
   const std::vector<std::pair<std::string, std::string>>& var_writes() const {
     return var_writes_;
   }
-  int tool_requests_made() const { return tool_requests_; }
 
  private:
   friend class Engine;
@@ -92,7 +91,6 @@ class ActionApi {
   std::string failure_reason_;
   std::vector<std::pair<std::string, std::string>> data_writes_;
   std::vector<std::pair<std::string, std::string>> var_writes_;
-  int tool_requests_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
 };
 

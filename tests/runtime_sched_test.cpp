@@ -1,17 +1,16 @@
-// Scheduler-specific tests for the batched parallel runtime:
+// Scheduler-specific tests for the parallel runtime, which claims one step
+// per queue entry:
 //
-//  - Differential goldens: a batched run (max_batch = 16, the default) must
-//    land on the byte-identical final data-manager state, identical
-//    ResultCache contents, and identical per-step journal attempt records
-//    as the legacy per-step scheduler (max_batch = 1), across chaos seeds
-//    crossed with {1, 2, 4} worker pools.
+//  - Differential goldens: each {2, 4}-worker run must land on the
+//    byte-identical final data-manager state, identical ResultCache
+//    contents, and identical per-step journal attempt records as the
+//    1-worker run, across chaos seeds; every run queues exactly one claim
+//    per executed or replayed step.
 //  - Handoff: skewed step costs on a wide frontier with 8 workers must
-//    record batches run by a worker other than their claimer (steals) and
+//    record claims run by a worker other than their claimer (steals) and
 //    still converge to the serial reference.
-//  - Serial fast path: a scheduling-bound chain of cheap steps must take
-//    the whole-frontier fast path once the online cost model warms up.
-//  - Stop: request_stop() with claimed batches still queued must run and
-//    apply every claim exactly once and claim nothing new.
+//  - Stop: request_stop() with claims still queued must run and apply
+//    every claim exactly once and claim nothing new.
 //  - Watchdog: the event-driven watchdog must not poll (wakeup count stays
 //    tiny across a long armed run) yet must still cancel a wedged action at
 //    the real-clock deadline.
@@ -102,9 +101,9 @@ std::map<std::string, std::string> snapshot(wf::DataManager& data) {
   return out;
 }
 
-/// The journal facts that must not depend on how steps were batched:
+/// The journal facts that must not depend on the worker count:
 /// per-step attempt sequence (ordinal, outcome, fault, rerun, content key)
-/// — everything except worker ids, batch ids, and timing. The timed_out
+/// — everything except worker ids, claim ids, and timing. The timed_out
 /// flag is timing too: an injected Hang elsewhere advances the shared
 /// SimClock past every armed deadline at once, so whether an instant
 /// failing attempt is *also* stamped timed-out depends on when the
@@ -130,11 +129,10 @@ struct RunOutcome {
   std::map<std::string, std::vector<AttemptFact>> attempts;
 };
 
-RunOutcome run_config(const FlowTemplate& flow, int workers, int max_batch,
+RunOutcome run_config(const FlowTemplate& flow, int workers,
                       std::uint64_t fault_seed) {
   ExecutorOptions options;
   options.workers = workers;
-  options.max_batch = max_batch;
   if (fault_seed != 0) {
     options.retry.max_attempts = 4;
     options.retry.backoff_base_us = 1000;
@@ -155,9 +153,8 @@ RunOutcome run_config(const FlowTemplate& flow, int workers, int max_batch,
 
   RunOutcome out;
   out.stats = par.run();
-  EXPECT_TRUE(par.complete()) << "workers " << workers << " max_batch "
-                              << max_batch << " seed " << fault_seed << ": "
-                              << out.stats.error;
+  EXPECT_TRUE(par.complete()) << "workers " << workers << " seed "
+                              << fault_seed << ": " << out.stats.error;
   out.data = snapshot(par.engine().data());
   for (const auto& [key, entry] : par.cache()->snapshot())
     out.cache.emplace(key, *entry);
@@ -170,33 +167,35 @@ RunOutcome run_config(const FlowTemplate& flow, int workers, int max_batch,
   return out;
 }
 
-void expect_equivalent(const RunOutcome& batched, const RunOutcome& legacy,
+void expect_equivalent(const RunOutcome& run, const RunOutcome& reference,
                        const std::string& label) {
-  EXPECT_EQ(batched.data, legacy.data)
+  EXPECT_EQ(run.data, reference.data)
       << label << ": final data-manager state must be byte-identical";
-  ASSERT_EQ(batched.cache.size(), legacy.cache.size()) << label;
-  for (const auto& [key, entry] : batched.cache) {
-    auto it = legacy.cache.find(key);
-    ASSERT_NE(it, legacy.cache.end())
-        << label << ": cache key " << to_hex(key) << " only in batched run";
+  ASSERT_EQ(run.cache.size(), reference.cache.size()) << label;
+  for (const auto& [key, entry] : run.cache) {
+    auto it = reference.cache.find(key);
+    ASSERT_NE(it, reference.cache.end())
+        << label << ": cache key " << to_hex(key) << " only in this run";
     EXPECT_EQ(entry.outputs, it->second.outputs) << label << " " << to_hex(key);
     EXPECT_EQ(entry.variables, it->second.variables)
         << label << " " << to_hex(key);
     EXPECT_EQ(entry.log, it->second.log) << label << " " << to_hex(key);
   }
-  ASSERT_EQ(batched.attempts.size(), legacy.attempts.size()) << label;
-  for (const auto& [step, facts] : batched.attempts) {
-    auto it = legacy.attempts.find(step);
-    ASSERT_NE(it, legacy.attempts.end()) << label << " " << step;
+  ASSERT_EQ(run.attempts.size(), reference.attempts.size()) << label;
+  for (const auto& [step, facts] : run.attempts) {
+    auto it = reference.attempts.find(step);
+    ASSERT_NE(it, reference.attempts.end()) << label << " " << step;
     EXPECT_EQ(facts, it->second)
         << label << " " << step
-        << ": journal attempt records must not depend on batching";
+        << ": journal attempt records must not depend on the worker count";
   }
-  EXPECT_EQ(batched.stats.executed, legacy.stats.executed) << label;
-  EXPECT_EQ(batched.stats.retries, legacy.stats.retries) << label;
-  EXPECT_EQ(batched.stats.failures, legacy.stats.failures) << label;
+  EXPECT_EQ(run.stats.executed, reference.stats.executed) << label;
+  EXPECT_EQ(run.stats.retries, reference.stats.retries) << label;
+  EXPECT_EQ(run.stats.failures, reference.stats.failures) << label;
 }
 
+// The name dates from when this compared batched claims with per-step
+// ones; every claim is now one step, and the reference is the 1-worker run.
 TEST(SchedDifferential, BatchedMatchesUnbatchedAcrossSeedsAndWorkers) {
   const int seeds = env_int("INTEROP_SCHED_SEEDS", 6);
   const FlowTemplate flow = make_layered(4, 4, /*seed=*/7);
@@ -206,21 +205,16 @@ TEST(SchedDifferential, BatchedMatchesUnbatchedAcrossSeedsAndWorkers) {
   for (int s = 1; s < seeds; ++s) fault_seeds.push_back(std::uint64_t(s));
 
   for (std::uint64_t fault_seed : fault_seeds) {
-    for (int workers : {1, 2, 4}) {
-      RunOutcome batched = run_config(flow, workers, /*max_batch=*/16,
-                                      fault_seed);
-      RunOutcome legacy = run_config(flow, workers, /*max_batch=*/1,
-                                     fault_seed);
-      std::string label = "seed " + std::to_string(fault_seed) + " workers " +
-                          std::to_string(workers);
-      expect_equivalent(batched, legacy, label);
-      // max_batch = 1 promises strictly per-step claims: no coalescing, no
-      // whole-frontier fast path.
-      EXPECT_EQ(legacy.stats.fastpath, 0) << label;
-      EXPECT_EQ(legacy.stats.batches,
-                legacy.stats.executed + legacy.stats.cache_hits)
-          << label << ": every legacy batch must hold exactly one step";
-      EXPECT_LE(batched.stats.batches, legacy.stats.batches) << label;
+    std::string label = "seed " + std::to_string(fault_seed) + " workers ";
+    RunOutcome reference = run_config(flow, /*workers=*/1, fault_seed);
+    EXPECT_EQ(reference.stats.batches,
+              reference.stats.executed + reference.stats.cache_hits)
+        << label << 1 << ": every claim must hold exactly one step";
+    for (int workers : {2, 4}) {
+      RunOutcome run = run_config(flow, workers, fault_seed);
+      expect_equivalent(run, reference, label + std::to_string(workers));
+      EXPECT_EQ(run.stats.batches, run.stats.executed + run.stats.cache_hits)
+          << label << workers << ": every claim must hold exactly one step";
     }
   }
 }
@@ -278,52 +272,6 @@ TEST(SchedStealing, SkewedCostsRecordStealsAndMatchSerial) {
       << "8 workers against a 24-wide frontier formed on one deque must "
          "steal";
   EXPECT_EQ(stats.executed, kWidth + 1);
-}
-
-TEST(SchedFastpath, CheapChainTakesWholeFrontierFastPath) {
-  // A pure bookkeeping chain: after the first step seeds the cost model,
-  // every subsequent single-step frontier is sub-threshold with nothing in
-  // flight, so the scheduler should stay on the serial fast path instead of
-  // bouncing each step through the pool.
-  const int kChain = 60;
-  FlowTemplate flow;
-  flow.name = "chain";
-  for (int i = 0; i < kChain; ++i) {
-    std::string name = "c" + std::to_string(i);
-    StepDef step;
-    step.name = name;
-    step.writes = {name + ".out"};
-    std::string read = i > 0 ? "c" + std::to_string(i - 1) + ".out"
-                             : std::string();
-    if (i > 0) {
-      step.start_after = {"c" + std::to_string(i - 1)};
-      step.reads = {read};
-    }
-    step.action = {name, ActionLanguage::Native,
-                   [name, read](ActionApi& api) {
-                     std::string in =
-                         read.empty() ? "seed" : api.read_data(read).value_or("?");
-                     api.write_data(name + ".out", to_hex(fnv1a(in)) + "+");
-                     return ActionResult{0, ""};
-                   }};
-    flow.steps.push_back(std::move(step));
-  }
-
-  ExecutorOptions options;
-  options.workers = 4;
-  ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
-                       options);
-  // Measure step costs on a SimClock, where every step takes 0 µs: under
-  // sanitizers or heavy CI load a "free" step can exceed the 32 µs
-  // auto-cap, which would make this test hostage to machine speed. The
-  // fast path itself is what's under test.
-  par.set_clock(std::make_shared<SimClock>());
-  ASSERT_EQ(par.instantiate({}), "");
-  RunStats stats = par.run();
-  ASSERT_TRUE(par.complete()) << stats.error;
-  EXPECT_GT(stats.fastpath, 0)
-      << "a warm cheap chain must use the serial fast path";
-  EXPECT_EQ(stats.executed, kChain);
 }
 
 TEST(SchedStop, StopWithQueuedBatchesDrainsEveryClaim) {

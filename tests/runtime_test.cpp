@@ -362,44 +362,5 @@ TEST(RuntimeJournal, RecordsAndCriticalPath) {
   EXPECT_NE(json.find("\"step\":\"seed\""), std::string::npos);
 }
 
-TEST(RuntimeData, SynchronizedDataManagerForwardsAndNotifies) {
-  wf::SynchronizedDataManager data(std::make_unique<SimpleDataManager>());
-  int notified = 0;
-  data.add_listener([&notified](const std::string&, wf::LogicalTime) {
-    ++notified;
-  });
-  data.write("a", "1");
-  data.write("b", "2");
-  EXPECT_EQ(notified, 2);
-  EXPECT_EQ(*data.read("a"), "1");
-  EXPECT_EQ(data.list().size(), 2u);
-  EXPECT_EQ(data.now(), *data.timestamp("b"));
-}
-
-TEST(RuntimeData, SynchronizedDataManagerConcurrentWriters) {
-  wf::SynchronizedDataManager data(std::make_unique<SimpleDataManager>());
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&data, t] {
-      for (int i = 0; i < 50; ++i)
-        data.write("p" + std::to_string(t) + "_" + std::to_string(i), "x");
-    });
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(data.list().size(), 200u);
-  EXPECT_EQ(data.now(), wf::LogicalTime(200));
-}
-
-TEST(RuntimeExecutor, WorksThroughSynchronizedDataManager) {
-  ParallelExecutor par(
-      make_diamond(), {},
-      std::make_unique<wf::SynchronizedDataManager>(
-          std::make_unique<SimpleDataManager>()),
-      {.workers = 4});
-  ASSERT_EQ(par.instantiate({}), "");
-  RunStats stats = par.run();
-  EXPECT_TRUE(par.complete()) << stats.error;
-  EXPECT_EQ(stats.executed, 4);
-}
-
 }  // namespace
 }  // namespace interop::runtime
