@@ -1,5 +1,5 @@
-// Runtime bench — parallel flow executor vs the serial engine, plus the
-// content-addressed cache's warm re-run behavior. Results print as one
+// Runtime bench — the flow executor at 4 workers vs a 1-worker run, plus
+// the content-addressed cache's warm re-run behavior. Results print as one
 // JSON object for the bench harness.
 //
 // Workloads:
@@ -143,30 +143,36 @@ struct WorkloadResult {
   std::string journal_json;
 };
 
-/// Serial run_all, cold parallel run, then a warm run of a FRESH instance
-/// over a FRESH store sharing only the content-addressed cache.
+/// Serial baseline (a 1-worker run, no cache), cold parallel run, then a
+/// warm run of a FRESH instance over a FRESH store sharing only the
+/// content-addressed cache.
 WorkloadResult run_workload(const FlowTemplate& flow, int workers,
                             const std::string& seed_path,
                             const std::string& seed_content) {
   WorkloadResult r;
   r.steps = flow.steps.size();
 
+  ExecutorOptions one_worker, parallel;
+  one_worker.workers = 1;
+  parallel.workers = workers;
   {
-    wf::Engine serial(flow, {}, std::make_unique<SimpleDataManager>());
-    if (!seed_path.empty()) serial.data().write(seed_path, seed_content);
+    ParallelExecutor serial(flow, {}, std::make_unique<SimpleDataManager>(),
+                            one_worker, /*cache=*/nullptr);
+    if (!seed_path.empty())
+      serial.engine().data().write(seed_path, seed_content);
     if (std::string err = serial.instantiate({}); !err.empty()) {
       std::cerr << "instantiate failed: " << err << "\n";
       std::exit(1);
     }
     auto t0 = std::chrono::steady_clock::now();
-    serial.run_all();
+    serial.run();
     r.serial_ms = ms_since(t0);
   }
 
   auto cache = std::make_shared<ResultCache>();
   {
     ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
-                         {.workers = workers}, cache);
+                         parallel, cache);
     if (!seed_path.empty()) par.engine().data().write(seed_path, seed_content);
     par.instantiate({});
     auto t0 = std::chrono::steady_clock::now();
@@ -186,7 +192,7 @@ WorkloadResult run_workload(const FlowTemplate& flow, int workers,
 
   {
     ParallelExecutor warm(flow, {}, std::make_unique<SimpleDataManager>(),
-                          {.workers = workers}, cache);
+                          parallel, cache);
     if (!seed_path.empty())
       warm.engine().data().write(seed_path, seed_content);
     warm.instantiate({});

@@ -10,10 +10,13 @@
 
 #include "base/report.hpp"
 #include "base/rng.hpp"
+#include "runtime/executor.hpp"
 #include "workflow/adhoc.hpp"
 
 using namespace interop::wf;
 using interop::base::ReportTable;
+using interop::runtime::ExecutorOptions;
+using interop::runtime::ParallelExecutor;
 
 namespace {
 
@@ -110,12 +113,17 @@ int main() {
       slip_lies += m.status_lies;
     }
     {
-      Engine engine(flow, {}, std::make_unique<SimpleDataManager>());
+      // One worker and no result cache: each step runs inline, in turn.
+      ExecutorOptions one_worker;
+      one_worker.workers = 1;
+      ParallelExecutor run(flow, {}, std::make_unique<SimpleDataManager>(),
+                           one_worker, /*cache=*/nullptr);
+      Engine& engine = run.engine();
       engine.data().write("inputs.dat", "v1");
-      engine.instantiate({});
-      engine.run_all();
+      run.instantiate({});
+      run.run();
       engine.data().write("inputs.dat", "v2");  // the same upstream change
-      engine.run_all();
+      run.run();
       engine_notices += int(engine.notifications().size());
       // Stale check identical to the ad-hoc post-mortem.
       for (const auto& [name, status] : engine.instance().steps) {

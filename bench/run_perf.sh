@@ -84,7 +84,7 @@ check_json "$tmp" "$obs_bin"
 cp "$tmp" "$obs_out"
 echo "wrote $obs_out"
 
-# Scheduler bench: parallel executor vs the serial engine —
+# Scheduler bench: the executor at 4 workers vs a 1-worker run —
 # per-workload speedup, worker utilization (busy/wall), claim/steal
 # counts, warm-cache replay (self-checking; see EXPERIMENTS.md §P2). The
 # fanout journal dump is for ad-hoc inspection and is stripped from the

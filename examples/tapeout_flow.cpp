@@ -12,6 +12,7 @@
 #include "core/methodology.hpp"
 #include "core/optimize.hpp"
 #include "obs/trace.hpp"
+#include "runtime/executor.hpp"
 #include "workflow/engine.hpp"
 
 using namespace interop;
@@ -65,21 +66,27 @@ int main(int argc, char** argv) {
       {"signoff", step_action(""), {"blocks"}, {}, {}, {}, "manager", "", ""},
   };
 
-  wf::Engine engine(chip, {{"block", block_flow}},
-                    std::make_unique<wf::VersioningDataManager>(), "manager");
-  std::string err = engine.instantiate({"alu", "lsu", "fetch"});
+  // One worker, no result cache: every step runs, one at a time.
+  runtime::ExecutorOptions one_worker;
+  one_worker.workers = 1;
+  runtime::ParallelExecutor flow_run(
+      chip, {{"block", block_flow}},
+      std::make_unique<wf::VersioningDataManager>(), one_worker,
+      /*cache=*/nullptr, "manager");
+  wf::Engine& engine = flow_run.engine();
+  std::string err = flow_run.instantiate({"alu", "lsu", "fetch"});
   if (!err.empty()) {
     std::cout << "instantiation failed: " << err << "\n";
     return 1;
   }
-  int ran = engine.run_all();
+  int ran = flow_run.run().executed;
   std::cout << "workflow: ran " << ran << " steps across "
             << engine.instance().blocks.size()
             << " blocks; complete=" << engine.complete() << "\n";
 
   // An upstream change arrives: the engine reworks only what it must.
   engine.data().write("spec.txt", "v2 — ECO in the spec");
-  int reworked = engine.run_all();
+  int reworked = flow_run.run().executed;
   std::cout << "after spec change: " << engine.notifications().size()
             << " notifications, " << reworked
             << " steps re-executed, complete=" << engine.complete() << "\n\n";

@@ -35,7 +35,7 @@ struct Task {
   TaskCategory category = TaskCategory::Creation;
   std::vector<std::string> inputs;   ///< normalized information kinds
   std::vector<std::string> outputs;
-  std::string phase;         ///< methodology phase ("rtl", "synthesis", ...)
+  std::string phase{};       ///< methodology phase ("rtl", "synthesis", ...)
 };
 
 /// The task graph: tasks linked through shared information kinds.

@@ -5,7 +5,7 @@
 // invisible: the candidates of generation g are derived serially from the
 // seed pool as it stood at the END of generation g-1 (candidate i mutates
 // under Rng(mix(seed, g, i))), evaluated in parallel by a static partition
-// over `jobs` worker threads — run_pipeline is pure — and merged back
+// over `jobs` WorkerPool jobs — run_pipeline is pure — and merged back
 // SERIALLY in candidate-index order. Coverage decisions, seed-pool growth,
 // reproducer naming and minimization therefore depend only on (seed,
 // iterations, generation_size): `interop_fuzz --seed S --iters N` produces
@@ -34,7 +34,7 @@ struct FuzzOptions {
   int iterations = 128;        ///< candidate evaluations (rounded up to
                                ///< whole generations)
   int generation_size = 16;
-  int jobs = 1;                ///< worker threads (>=1); result-invariant
+  int jobs = 1;                ///< parallel jobs (>=1); result-invariant
   std::int64_t time_budget_ms = 0;  ///< stop after this wall time (0 = off),
                                     ///< checked at generation boundaries
   /// Directory of existing reproducers to use as extra initial seeds, and

@@ -60,7 +60,7 @@ struct RStmt {
 /// Process kinds the kernel schedules.
 struct GateProcess {
   GateKind kind;
-  SignalId output;
+  SignalId output = 0;
   std::vector<SignalId> inputs;
   std::int64_t delay = 0;
 };

@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/hash.hpp"
+#include "runtime/pool.hpp"
 #include "schematic/generator.hpp"
 #include "schematic/netlist.hpp"
 #include "schematic/textio.hpp"
@@ -144,22 +145,9 @@ InteropService::InteropService(ServiceOptions opt)
   migration_config_.global_map = sch::make_standard_global_map();
   migration_config_.property_rules = sch::make_standard_property_rules();
   migration_config_.target_symbols = sch::make_target_library();
-
-  int workers = std::max(1, opt_.workers);
-  workers_.reserve(std::size_t(workers));
-  for (int i = 0; i < workers; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
-InteropService::~InteropService() {
-  drain();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_workers_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
+InteropService::~InteropService() { drain(); }
 
 bool InteropService::submit(Request req, Done done) {
   // Drain is an admin verb, not work: it must land even when the queue is
@@ -192,8 +180,10 @@ bool InteropService::submit(Request req, Done done) {
       m_admitted_->add();
       m_queue_depth_->set(std::int64_t(queued_));
       m_tenants_->set(std::int64_t(queues_.size()));
+      bool start = serving_ < std::max(1, opt_.workers);
+      if (start) ++serving_;
       lock.unlock();
-      work_cv_.notify_one();
+      if (start) runtime::WorkerPool::shared().submit([this] { serve(); });
       return true;
     }
     reject.id = req.id;
@@ -238,7 +228,7 @@ void InteropService::drain() {
   begin_drain();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    drain_cv_.wait(lock, [this] { return queued_ == 0 && in_flight_ == 0; });
+    drain_cv_.wait(lock, [this] { return queued_ == 0 && serving_ == 0; });
   }
   // Quiesced: land any batched store writes so the shutdown path (SIGTERM
   // and SIGINT both end here) leaves the cache fully durable.
@@ -255,27 +245,22 @@ int InteropService::in_flight() const {
   return in_flight_;
 }
 
-void InteropService::worker_loop(int worker_id) {
-  (void)worker_id;
-  for (;;) {
-    Pending p;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_workers_ || !rr_.empty(); });
-      if (stop_workers_ && rr_.empty()) return;
-      // Fair claim: take one request from the tenant at the round-robin
-      // cursor, then rotate the tenant behind every other waiting tenant.
-      std::string tenant = std::move(rr_.front());
-      rr_.pop_front();
-      auto it = queues_.find(tenant);
-      p = std::move(it->second.front());
-      it->second.pop_front();
-      if (!it->second.empty()) rr_.push_back(tenant);
-      --queued_;
-      ++in_flight_;
-      m_queue_depth_->set(std::int64_t(queued_));
-      m_in_flight_->set(in_flight_);
-    }
+void InteropService::serve() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!rr_.empty()) {
+    // Fair claim: take one request from the tenant at the round-robin
+    // cursor, then rotate the tenant behind every other waiting tenant.
+    std::string tenant = std::move(rr_.front());
+    rr_.pop_front();
+    auto it = queues_.find(tenant);
+    Pending p = std::move(it->second.front());
+    it->second.pop_front();
+    if (!it->second.empty()) rr_.push_back(tenant);
+    --queued_;
+    ++in_flight_;
+    m_queue_depth_->set(std::int64_t(queued_));
+    m_in_flight_->set(in_flight_);
+    lock.unlock();
 
     std::uint64_t start_us = clock_->now_us();
     m_queue_wait_us_->observe(start_us - p.enqueue_us);
@@ -293,13 +278,14 @@ void InteropService::worker_loop(int worker_id) {
     resp.id = p.req.id;
     finish(std::move(p), std::move(resp), start_us);
 
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      m_in_flight_->set(in_flight_);
-    }
-    drain_cv_.notify_all();
+    lock.lock();
+    --in_flight_;
+    m_in_flight_->set(in_flight_);
   }
+  // Notified under mu_: once drain() sees serving_ == 0, no serve() task
+  // touches the service any more.
+  --serving_;
+  drain_cv_.notify_all();
 }
 
 void InteropService::finish(Pending p, Response resp, std::uint64_t start_us) {

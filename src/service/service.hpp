@@ -10,9 +10,10 @@
 // Request pipeline: submit() runs admission control (bounded queue —
 // beyond the limit the request is *rejected with a retry-after hint*, the
 // §5 answer to graceful degradation, instead of letting latency collapse),
-// then parks the request on its tenant's FIFO queue. A fixed worker pool
-// drains tenants round-robin, so one tenant flooding the daemon cannot
-// starve another's single request. With a request timeout set, each
+// then parks the request on its tenant's FIFO queue. At most `workers`
+// tasks on the shared runtime::WorkerPool drain tenants round-robin (a
+// task ends when the queues are empty), so one tenant flooding the daemon
+// cannot starve another's single request. With a request timeout set, each
 // in-flight request is armed on the shared runtime::Watchdog, which fires
 // the request's CancelToken (and the inner flow executor's request_stop)
 // past the deadline — the same watchdog and cooperative cancellation the
@@ -41,7 +42,6 @@
 #include <mutex>
 #include <string>
 #include <type_traits>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -55,9 +55,9 @@
 namespace interop::service {
 
 struct ServiceOptions {
-  /// Request worker pool (each worker serves one request at a time).
+  /// Requests served at once (each by one runtime::WorkerPool task).
   int workers = 4;
-  /// Inner ParallelExecutor pool for each FlowRun request.
+  /// Inner ParallelExecutor workers for each FlowRun request.
   int flow_workers = 2;
   /// Admission bound: queued (not yet claimed) requests beyond this are
   /// rejected. 0 means reject everything (useful in tests).
@@ -75,7 +75,7 @@ struct ServiceOptions {
   /// restarted daemon cold-opens into the warm cache a kill -9 would
   /// otherwise have destroyed. An unusable directory degrades to the
   /// plain in-memory cache (counted in service.store.open_failures).
-  std::string store_dir;
+  std::string store_dir{};
 };
 
 class InteropService {
@@ -88,7 +88,7 @@ class InteropService {
   InteropService(const InteropService&) = delete;
   InteropService& operator=(const InteropService&) = delete;
 
-  /// Admit or reject `req`. On admission, `done` runs later on a worker
+  /// Admit or reject `req`. On admission, `done` runs later on a pool
   /// thread. On rejection (queue full or draining), `done` runs inline
   /// with a Rejected/Error response and submit returns false.
   bool submit(Request req, Done done);
@@ -134,7 +134,8 @@ class InteropService {
     runtime::CancelToken token;
   };
 
-  void worker_loop(int worker_id);
+  /// One pool task: serve queued requests until the queues are empty.
+  void serve();
   Response handle(const Request& req, const Flight& flight);
   Response handle_migrate(const Request& req);
   Response handle_netlist(const Request& req);
@@ -196,20 +197,18 @@ class InteropService {
       m_latency_us_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;    ///< workers wait for queued work
-  std::condition_variable drain_cv_;   ///< drain() waits for quiescence
+  std::condition_variable drain_cv_;  ///< drain() waits for quiescence
   /// Per-tenant FIFO queues; `rr_` holds each tenant with queued work
   /// exactly once, in round-robin claim order.
   std::map<std::string, std::deque<Pending>> queues_;
   std::deque<std::string> rr_;
   std::size_t queued_ = 0;
   int in_flight_ = 0;
+  int serving_ = 0;  ///< serve() tasks on the pool, at most opt_.workers
   bool draining_ = false;
-  bool stop_workers_ = false;
 
   /// Request deadlines; its thread starts only once a timeout is armed.
   runtime::Watchdog watchdog_;
-  std::vector<std::thread> workers_;
 };
 
 /// In-process transport: drives an InteropService through the real wire

@@ -58,7 +58,7 @@ class ActionApi {
 
   /// Cooperative cancellation: set when the runtime's watchdog expires this
   /// attempt's timeout (or the run is being stopped). Long-running actions
-  /// should poll it and return early; the serial engine never sets it.
+  /// should poll it and return early.
   bool cancel_requested() const {
     return cancel_ && cancel_->load(std::memory_order_relaxed);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/methodology.hpp"
+#include "serial_oracle.hpp"
 #include "workflow/engine.hpp"
 
 namespace interop::core {
@@ -27,7 +28,7 @@ TEST(FlowExport, SmallGraphExportsAndRuns) {
 
   wf::Engine engine(flow, {}, std::make_unique<wf::SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  EXPECT_EQ(engine.run_all(), 2);
+  EXPECT_EQ(wf::oracle::run_all(engine), 2);
   EXPECT_TRUE(engine.complete());
   EXPECT_TRUE(engine.data().exists("report"));
   // Each tool got its own session.
@@ -40,7 +41,7 @@ TEST(FlowExport, UnmappedTaskFailsItsStep) {
   wf::FlowTemplate flow = export_flow(g, TaskToolMap{});
   wf::Engine engine(flow, {}, std::make_unique<wf::SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  wf::oracle::run_all(engine);
   EXPECT_EQ(engine.status_report().at("orphan"), wf::StepState::Failed);
 }
 
@@ -58,7 +59,7 @@ TEST(FlowExport, FpgaScenarioRunsEndToEnd) {
 
   wf::Engine engine(flow, {}, std::make_unique<wf::VersioningDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  int ran = engine.run_all();
+  int ran = wf::oracle::run_all(engine);
   EXPECT_EQ(ran, int(pruned.size()));
   EXPECT_TRUE(engine.complete()) << engine.last_error();
   // The final deliverable of the scenario exists.
@@ -68,7 +69,7 @@ TEST(FlowExport, FpgaScenarioRunsEndToEnd) {
   // re-runs exactly the downstream cone.
   engine.clear_notifications();
   engine.data().write("arch-spec", "v2");
-  int reworked = engine.run_all();
+  int reworked = wf::oracle::run_all(engine);
   EXPECT_GT(reworked, 0);
   EXPECT_LT(reworked, int(pruned.size()));  // upstream tasks untouched
   EXPECT_TRUE(engine.complete());

@@ -7,6 +7,7 @@
 #include "hdl/vcd.hpp"
 #include "pnr/generator.hpp"
 #include "pnr/place.hpp"
+#include "serial_oracle.hpp"
 #include "workflow/engine.hpp"
 
 namespace {
@@ -154,16 +155,16 @@ TEST(Tuning, HotspotsIdentifyReworkAndFailures) {
   };
   Engine engine(flow, {}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   // Drive rework: the source data changes twice.
   for (int i = 0; i < 2; ++i) {
     engine.data().write("a", "v" + std::to_string(i));
-    engine.run_all();
+    oracle::run_all(engine);
   }
   // Retry the flaky step until it passes.
   while (engine.status_report().at("flaky") == StepState::Failed) {
     engine.instance().find("flaky")->state = StepState::Ready;
-    engine.run_step("flaky");
+    oracle::run_step(engine, "flaky");
   }
 
   Engine::TuningReport report = engine.tuning_report();
@@ -189,7 +190,7 @@ TEST(Tuning, TopNTruncates) {
   }
   Engine engine(flow, {}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   EXPECT_EQ(engine.tuning_report(3).failure_hotspots.size(), 3u);
   EXPECT_EQ(engine.tuning_report(20).failure_hotspots.size(), 8u);
 }

@@ -28,6 +28,7 @@
 #include "runtime/fault.hpp"
 #include "runtime/hash.hpp"
 #include "runtime/retry.hpp"
+#include "serial_oracle.hpp"
 #include "workflow/engine.hpp"
 
 namespace interop::runtime {
@@ -129,7 +130,7 @@ std::map<std::string, std::string> fault_free_reference(
   Engine serial(flow, {}, std::make_unique<SimpleDataManager>());
   serial.data().write("inputs.dat", "v1");
   EXPECT_EQ(serial.instantiate({}), "");
-  serial.run_all();
+  wf::oracle::run_all(serial);
   EXPECT_TRUE(serial.complete());
   return snapshot(serial.data());
 }
@@ -144,12 +145,14 @@ void check_journal_consistency(const RunJournal& journal,
     for (std::size_t i = 0; i < recs.size(); ++i) {
       EXPECT_EQ(recs[i].attempt, int(i) + 1)
           << step << ": attempts must be journaled 1..n in order";
-      if (!recs[i].fault.empty())
+      if (!recs[i].fault.empty()) {
         EXPECT_FALSE(recs[i].ok)
             << step << ": a fault-stamped attempt can never be ok";
-      if (i + 1 < recs.size())
+      }
+      if (i + 1 < recs.size()) {
         EXPECT_FALSE(recs[i].ok)
             << step << ": only the final attempt may succeed";
+      }
     }
     EXPECT_TRUE(recs.back().ok) << step << " must converge";
   }
@@ -210,10 +213,11 @@ TEST(RuntimeChaos, SweepConvergesToFaultFreeStateAcrossSeedsAndWorkers) {
       for (const std::string& step : step_names) {
         int n = int(par.journal().attempts_for(step).size());
         auto [it, inserted] = attempts_by_step.emplace(step, n);
-        if (!inserted)
+        if (!inserted) {
           EXPECT_EQ(it->second, n)
               << "seed " << chaos_seed << " workers " << workers << " step "
               << step << ": attempt counts must not depend on pool size";
+        }
       }
     }
   }
@@ -420,7 +424,9 @@ TEST(RuntimeChaos, KillMidRunThenResumeExecutesOnlyLostWork) {
   std::set<std::string> prior(done.begin(), done.end());
   for (const JournalEntry& e : resumed.journal().entries()) {
     EXPECT_EQ(e.resumed, prior.count(e.step) > 0) << e.step;
-    if (prior.count(e.step)) EXPECT_TRUE(e.cache_hit) << e.step;
+    if (prior.count(e.step)) {
+      EXPECT_TRUE(e.cache_hit) << e.step;
+    }
   }
 }
 

@@ -34,6 +34,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/hash.hpp"
+#include "serial_oracle.hpp"
 #include "workflow/engine.hpp"
 
 namespace interop::runtime {
@@ -256,7 +257,7 @@ TEST(SchedStealing, SkewedCostsRecordStealsAndMatchSerial) {
 
   Engine serial(flow, {}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(serial.instantiate({}), "");
-  serial.run_all();
+  wf::oracle::run_all(serial);
   ASSERT_TRUE(serial.complete());
   const auto reference = snapshot(serial.data());
 

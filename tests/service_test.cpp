@@ -728,7 +728,9 @@ TEST(ServiceCacheConcurrency, EightThreadHammer) {
           default: {
             auto entry = cache.find(key);
             // Entries must stay valid after eviction/clear races.
-            if (entry) EXPECT_FALSE(entry->log.empty());
+            if (entry) {
+              EXPECT_FALSE(entry->log.empty());
+            }
             break;
           }
         }
@@ -759,7 +761,9 @@ TEST(ServiceCacheConcurrency, ShardedSemanticsMatchSingleShard) {
       auto a = one.find(key);
       auto b = many.find(key);
       ASSERT_EQ(a == nullptr, b == nullptr);
-      if (a) EXPECT_EQ(a->log, b->log);
+      if (a) {
+        EXPECT_EQ(a->log, b->log);
+      }
     }
   }
   EXPECT_EQ(one.size(), many.size());

@@ -134,8 +134,9 @@ TEST(StoreFuzz, MutatedSegmentsNeverCrashOrMisverify) {
           << "iter " << iter << ": key " << key
           << " survived with corrupted bytes (checksum mis-verified)";
     }
-    if (auto head = store.ref("head"))
+    if (auto head = store.ref("head")) {
       EXPECT_EQ(*head, 3u) << "iter " << iter;
+    }
     // Recovery is a fixed point: a re-open finds a clean file.
     std::uint64_t size_once = store.size();
     store.close();

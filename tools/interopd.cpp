@@ -38,12 +38,11 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/diagnostics.hpp"
+#include "runtime/pool.hpp"
 #include "schematic/generator.hpp"
 #include "schematic/textio.hpp"
 #include "service/service.hpp"
@@ -61,6 +60,8 @@ using service::Status;
 namespace {
 
 std::atomic<int> g_signal{0};
+/// Connection sessions still running; shutdown waits for 0.
+std::atomic<int> g_sessions{0};
 
 void on_signal(int sig) { g_signal.store(sig); }
 
@@ -202,7 +203,6 @@ int cmd_serve(const std::string& socket_path, ServiceOptions opt) {
     }
   }
   std::atomic<bool> closing{false};
-  std::vector<std::thread> connections;
   std::cout << "interopd: serving on " << socket_path << " (workers="
             << opt.workers << " queue=" << opt.queue_limit << ")"
             << std::endl;
@@ -214,8 +214,13 @@ int cmd_serve(const std::string& socket_path, ServiceOptions opt) {
     if (rc <= 0 || !(pfd.revents & POLLIN)) continue;
     int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
-    connections.emplace_back(
-        [fd, &svc, &closing] { serve_connection(fd, svc, closing); });
+    // A session is a task on the shared worker pool: a finished one
+    // leaves no thread (and no thread stack) behind.
+    ++g_sessions;
+    runtime::WorkerPool::shared().submit([fd, &svc, &closing] {
+      serve_connection(fd, svc, closing);
+      if (--g_sessions == 0) g_sessions.notify_all();
+    });
   }
 
   // Graceful drain: stop admitting, let every queued and in-flight
@@ -225,7 +230,7 @@ int cmd_serve(const std::string& socket_path, ServiceOptions opt) {
   ::close(listen_fd);
   svc.drain();
   closing.store(true);
-  for (std::thread& t : connections) t.join();
+  for (int n; (n = g_sessions.load()) != 0;) g_sessions.wait(n);
   ::unlink(socket_path.c_str());
   std::cout << "interopd: drained, exiting" << std::endl;
   return 0;
