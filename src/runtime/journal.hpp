@@ -34,7 +34,7 @@ struct JournalEntry {
   bool resumed = false;        ///< replay honored a prior journal's marker
   std::string fault;           ///< injected fault kind ("" = none)
   bool has_key = false;
-  std::uint64_t key = 0;       ///< content key at claim time (memoization)
+  std::uint64_t key = 0;       ///< content key at attempt start (memoization)
   std::uint64_t span = 0;      ///< obs trace span id (0 = tracing was off);
                                ///< JSON-only, not part of the v1 text form
                                ///< (spans aren't needed for crash recovery)
