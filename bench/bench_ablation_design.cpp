@@ -32,9 +32,7 @@ int main() {
     std::int64_t g = place(greedy, popt).hpwl_final;
 
     PhysDesign annealed = packed;
-    AnnealOptions aopt;
-    aopt.seed = seed;
-    std::int64_t a = place_annealed(annealed, aopt).hpwl_final;
+    std::int64_t a = place_annealed(annealed, seed).hpwl_final;
 
     a1.add_row({std::to_string(seed), std::to_string(rows),
                 std::to_string(g), std::to_string(a)});

@@ -105,7 +105,7 @@ SurvivalResult survival_sweep(const FlowTemplate& flow, int max_attempts,
 
     ExecutorOptions options;
     options.workers = 4;
-    options.retry.max_attempts = max_attempts;
+    options.max_attempts = max_attempts;
     options.step_timeout_us = 50'000;
 
     ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
@@ -151,7 +151,7 @@ int main() {
     {
       ExecutorOptions options;
       options.workers = 4;
-      options.retry.max_attempts = 4;
+      options.max_attempts = 4;
       options.step_timeout_us = 10'000'000;  // watchdog armed, never fires
       ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
                            options);

@@ -251,14 +251,16 @@ int main(int argc, char** argv) {
   core::CellBasedMethodology m = core::make_cell_based_methodology();
   core::TaskGraph pruned =
       core::apply_scenario(m.tasks, *m.scenario("full-asic"));
-  core::FlowExportOptions options;
-  options.fail_on_unmapped = false;
   // Each task models a real tool run (§6 steps live inside external tools);
-  // without this the "flow" is 183 instant actions and serial-vs-parallel
-  // only measures scheduler bookkeeping.
-  options.tool_latency_us = 200;
-  WorkloadResult methodology = run_workload(
-      core::export_flow(pruned, m.map, options), kWorkers, "", "");
+  // without the wait the "flow" is 183 instant actions and
+  // serial-vs-parallel only measures scheduler bookkeeping.
+  FlowTemplate exported = core::export_flow(pruned, m.map);
+  for (StepDef& step : exported.steps)
+    step.action.fn = [inner = step.action.fn](ActionApi& api) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      return inner(api);
+    };
+  WorkloadResult methodology = run_workload(exported, kWorkers, "", "");
 
   // The t9 warm numbers are informational only: the §6 methodology has
   // overlapping producers, so a handful of legitimate rework executions can

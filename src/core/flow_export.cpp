@@ -1,12 +1,8 @@
 #include "core/flow_export.hpp"
 
-#include <chrono>
-#include <thread>
-
 namespace interop::core {
 
-wf::FlowTemplate export_flow(const TaskGraph& tasks, const TaskToolMap& map,
-                             const FlowExportOptions& options) {
+wf::FlowTemplate export_flow(const TaskGraph& tasks, const TaskToolMap& map) {
   wf::FlowTemplate flow;
   flow.name = "methodology";
 
@@ -26,7 +22,7 @@ wf::FlowTemplate export_flow(const TaskGraph& tasks, const TaskToolMap& map,
     // Stable content key for the runtime's memoization: the same task run
     // by the same tool is the same computation, across exports and runs.
     step.content_tag = task.id + "@" + (tool.empty() ? "unmapped" : tool);
-    if (tool.empty() && options.fail_on_unmapped) {
+    if (tool.empty()) {
       step.action = {task.id, wf::ActionLanguage::Native,
                      [id = task.id](wf::ActionApi&) {
                        return wf::ActionResult{1, "no tool performs " + id};
@@ -36,20 +32,12 @@ wf::FlowTemplate export_flow(const TaskGraph& tasks, const TaskToolMap& map,
       // outputs. Tool sessions keep per-tool state alive across steps.
       auto inputs = task.inputs;
       auto outputs = task.outputs;
-      std::uint64_t latency = options.tool_latency_us;
-      step.action = {tool.empty() ? "noop" : tool,
-                     wf::ActionLanguage::Native,
-                     [tool, inputs, outputs, latency](wf::ActionApi& api) {
+      step.action = {tool, wf::ActionLanguage::Native,
+                     [tool, inputs, outputs](wf::ActionApi& api) {
                        std::string digest;
                        for (const std::string& in : inputs)
                          digest += api.read_data(in).value_or("?");
-                       if (!tool.empty())
-                         api.tool_request(tool, "run " + api.step());
-                       // The tool run itself: waited on outside the engine
-                       // guard, so concurrent steps overlap their waits.
-                       if (latency > 0)
-                         std::this_thread::sleep_for(
-                             std::chrono::microseconds(latency));
+                       api.tool_request(tool, "run " + api.step());
                        for (const std::string& out : outputs)
                          api.write_data(out, tool + "(" +
                                                  std::to_string(digest.size()) +

@@ -4,29 +4,19 @@
 // start dependencies are the task graph's data edges and whose action
 // "runs" the mapped tool: it reads the task's input artifacts and writes
 // its outputs, so the workflow engine's triggers and rework machinery
-// operate on the real information-flow structure of the methodology.
+// operate on the real information-flow structure of the methodology. The
+// action models the tool's data effects only and returns at once; a
+// caller that needs a step to take a tool's time wraps the action.
 
 #include "core/analysis.hpp"
 #include "workflow/flow.hpp"
 
 namespace interop::core {
 
-struct FlowExportOptions {
-  /// Steps for tasks whose tool is missing from the map fail at run time
-  /// (true) or are exported with a no-op action (false).
-  bool fail_on_unmapped = true;
-  /// Simulated per-step tool run time. A real methodology step spends its
-  /// life inside an external tool, not inside the engine; modeling that
-  /// wait (a sleep taken outside the engine's concurrency guard) is what
-  /// makes serial-vs-parallel comparisons of an exported flow meaningful.
-  /// 0 keeps the historical instant-action behavior.
-  std::uint64_t tool_latency_us = 0;
-};
-
 /// Build a workflow template from `tasks`. Step names are task ids; data
-/// paths are information kinds. The template validates iff the task graph
+/// paths are information kinds. A step whose task no tool in `map`
+/// performs fails at run time. The template validates iff the task graph
 /// is a DAG.
-wf::FlowTemplate export_flow(const TaskGraph& tasks, const TaskToolMap& map,
-                             const FlowExportOptions& options = {});
+wf::FlowTemplate export_flow(const TaskGraph& tasks, const TaskToolMap& map);
 
 }  // namespace interop::core

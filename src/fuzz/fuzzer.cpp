@@ -15,6 +15,9 @@ namespace interop::fuzz {
 
 namespace {
 
+/// Predicate calls one minimization of a new signature may spend.
+constexpr int kMinimizeEvals = 300;
+
 /// splitmix64-style combiner: one stream per (seed, generation, candidate).
 std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   std::uint64_t x = a;
@@ -131,9 +134,8 @@ FuzzStats fuzz(const FuzzOptions& options) {
 
       const std::string signature = r.signature();
       if (!signature.empty() && known_signatures.insert(signature).second) {
-        MinimizeResult shrunk =
-            minimize(candidates[i], signature_predicate(signature),
-                     options.max_minimize_evals);
+        MinimizeResult shrunk = minimize(
+            candidates[i], signature_predicate(signature), kMinimizeEvals);
         stats.minimize_evaluations += shrunk.evaluations;
 
         Reproducer repro;

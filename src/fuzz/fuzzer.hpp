@@ -40,7 +40,6 @@ struct FuzzOptions {
   /// Directory of existing reproducers to use as extra initial seeds, and
   /// where newly minimized reproducers are written. Empty = in-memory only.
   std::string corpus_dir;
-  int max_minimize_evals = 300;
   bool verbose = false;        ///< per-generation progress on stderr
 };
 

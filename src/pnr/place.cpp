@@ -174,9 +174,13 @@ PlaceResult place(PhysDesign& design, const PlaceOptions& opt) {
   return result;
 }
 
-PlaceResult place_annealed(PhysDesign& design, const AnnealOptions& opt) {
+PlaceResult place_annealed(PhysDesign& design, std::uint64_t seed) {
+  constexpr int kMovesPerTemperature = 600;
+  constexpr double kStartTemperature = 20.0;
+  constexpr double kCooling = 0.9;
+  constexpr double kStopTemperature = 0.3;
   PlaceResult result;
-  base::Rng rng(opt.seed);
+  base::Rng rng(seed);
   std::vector<PhysInstance*> movable = movable_instances(design);
   if (movable.size() < 2) {
     result.hpwl_initial = result.hpwl_final = total_hpwl(design);
@@ -194,9 +198,9 @@ PlaceResult place_annealed(PhysDesign& design, const AnnealOptions& opt) {
   for (const PhysInstance* inst : swaps.movable)
     best_origins.push_back(inst->origin);
 
-  for (double temperature = opt.start_temperature;
-       temperature > opt.stop_temperature; temperature *= opt.cooling) {
-    for (int m = 0; m < opt.moves_per_temperature; ++m) {
+  for (double temperature = kStartTemperature; temperature > kStopTemperature;
+       temperature *= kCooling) {
+    for (int m = 0; m < kMovesPerTemperature; ++m) {
       std::size_t i = rng.index(count);
       std::size_t j = rng.index(count);
       if (!swaps.swappable(i, j)) continue;
@@ -223,7 +227,7 @@ PlaceResult place_annealed(PhysDesign& design, const AnnealOptions& opt) {
     swaps.movable[k]->origin = best_origins[k];
   current = best;
   result.swaps_accepted +=
-      swaps.greedy(rng, opt.moves_per_temperature * 4, current);
+      swaps.greedy(rng, kMovesPerTemperature * 4, current);
   result.hpwl_final = current;
   return result;
 }

@@ -28,17 +28,11 @@ std::int64_t total_hpwl(const PhysDesign& design);
 /// pairwise swaps. Instances keep Orient::R0 unless their cell forbids it.
 PlaceResult place(PhysDesign& design, const PlaceOptions& opt);
 
-struct AnnealOptions {
-  std::uint64_t seed = 1;
-  int moves_per_temperature = 600;
-  double start_temperature = 20.0;
-  double cooling = 0.9;
-  double stop_temperature = 0.3;
-};
-
 /// Simulated-annealing refinement on top of an existing legal placement:
 /// same-footprint swaps, accepting uphill moves with probability
-/// exp(-delta/T). Strictly a refinement — call place() first.
-PlaceResult place_annealed(PhysDesign& design, const AnnealOptions& opt);
+/// exp(-delta/T) on a fixed schedule (600 moves per temperature, T from 20
+/// cooling by 0.9 down to 0.3), then a greedy quench from the best
+/// placement seen. Strictly a refinement — call place() first.
+PlaceResult place_annealed(PhysDesign& design, std::uint64_t seed);
 
 }  // namespace interop::pnr

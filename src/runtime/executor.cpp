@@ -151,7 +151,6 @@ ParallelExecutor::Outcome ParallelExecutor::execute_claim(Claim claim,
   // StepStatus nodes are stable after instantiate(); the def is immutable
   // during a run, so reading it unlocked is safe.
   const wf::StepStatus* st = engine_.instance().find(claim.name);
-  const RetryPolicy& retry = options_.retry;
   int faults_this_claim = 0;
   int timeouts_this_claim = 0;
   if (cache_) m_cache_miss_.add();
@@ -272,9 +271,7 @@ ParallelExecutor::Outcome ParallelExecutor::execute_claim(Claim claim,
                     std::move(args));
     }
 
-    bool retryable = rec.timed_out ? retry.retry_timeouts
-                                   : retry.retry_failures;
-    if (!ok && attempt < retry.max_attempts && retryable &&
+    if (!ok && attempt < options_.max_attempts &&
         !stop_requested_.load(std::memory_order_relaxed)) {
       // Retry in place: the step stays Running, the failed attempt is
       // journaled and noted on the step, and the next attempt starts after
@@ -287,12 +284,12 @@ ParallelExecutor::Outcome ParallelExecutor::execute_claim(Claim claim,
         engine_.start_attempt(claim.name);
         if (cache_) claim.key = step_content_key(st->def, engine_.data());
       }
+      std::uint64_t delay_us = backoff_delay_us(attempt);
       if (obs::armed())
         obs::instant("runtime", "backoff:" + claim.name,
                      "\"attempt\":" + std::to_string(attempt) +
-                         ",\"delay_us\":" +
-                         std::to_string(retry.delay_us(attempt)));
-      clock_->sleep_us(retry.delay_us(attempt));
+                         ",\"delay_us\":" + std::to_string(delay_us));
+      clock_->sleep_us(delay_us);
       continue;
     }
 

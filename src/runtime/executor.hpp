@@ -11,8 +11,11 @@
 // while it runs its step. In one lock section it applies the step it just
 // ran (with the engine's stale-input rework check), claims the whole
 // runnable frontier (Engine::begin_steps) and pops the lowest (rank, name)
-// claim, so a 1-worker run follows the serial loop's order; with nothing to
-// pop it waits on cv_. The pop starts the step's attempt
+// claim, so a 1-worker run follows the serial loop's order. A step is
+// claimed only after every step above it has Succeeded
+// (Engine::claimable_steps), so at any worker count rework runs each step
+// as often as the serial loop does. With nothing to pop a worker waits on
+// cv_. The pop starts the step's attempt
 // (Engine::start_attempt) and takes its cache key from the same inputs. A
 // claim popped by a worker that did not queue it counts as a handoff
 // (RunStats::steals). A step runnable again after kLivelockLimit claims
@@ -21,12 +24,13 @@
 //
 // Fault tolerance (see fault.hpp/retry.hpp): each claimed step runs an
 // attempt loop — a failed or timed-out attempt is retried in place (the
-// step stays Running) with deterministic exponential backoff until the
-// RetryPolicy budget runs out; only the final attempt's result reaches the
-// engine. The shared runtime::Watchdog (watchdog.hpp) cancels attempts
-// past the step timeout through a per-attempt CancelToken (cooperative:
-// actions poll ActionApi::cancel_requested(), injected hangs block on the
-// token); with no step timeout it starts no thread at all.
+// step stays Running) after a fixed exponential backoff
+// (backoff_delay_us) until ExecutorOptions::max_attempts is used up; only
+// the final attempt's result reaches the engine. The shared
+// runtime::Watchdog (watchdog.hpp) cancels attempts past the step timeout
+// through a per-attempt CancelToken (cooperative: actions poll
+// ActionApi::cancel_requested(), injected hangs block on the token); with
+// no step timeout it starts no thread at all.
 // request_stop() cancels everything in flight ("kill"); already-claimed
 // steps still execute and apply so the journal stays consistent.
 // resume_run() restarts a killed run from a prior journal's completion
@@ -58,8 +62,9 @@ inline constexpr int kLivelockLimit = 20;
 
 struct ExecutorOptions {
   int workers = 4;
-  /// Per-step attempt budget + backoff (default: one attempt, no retries).
-  RetryPolicy retry{};
+  /// Attempts per claimed step; failed and timed-out attempts both use it
+  /// up (1 = no retries).
+  int max_attempts = 1;
   /// Cooperative per-attempt timeout; 0 disables the watchdog.
   std::uint64_t step_timeout_us = 0;
 };

@@ -5,15 +5,12 @@
 
 namespace interop::runtime {
 
-std::uint64_t RetryPolicy::delay_us(int failed_attempts) const {
-  if (failed_attempts < 1 || backoff_base_us == 0) return 0;
-  double d = double(backoff_base_us);
-  for (int i = 1; i < failed_attempts; ++i) {
-    d *= backoff_factor;
-    if (d >= double(backoff_max_us)) return backoff_max_us;
-  }
-  std::uint64_t out = std::uint64_t(d);
-  return out > backoff_max_us ? backoff_max_us : out;
+std::uint64_t backoff_delay_us(int failed_attempts) {
+  constexpr std::uint64_t kBaseUs = 1000;
+  constexpr std::uint64_t kMaxUs = 60'000'000;
+  std::uint64_t d = kBaseUs;
+  for (int i = 1; i < failed_attempts && d < kMaxUs; ++i) d *= 2;
+  return d < kMaxUs ? d : kMaxUs;
 }
 
 std::uint64_t SteadyClock::now_us() const {

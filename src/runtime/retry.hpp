@@ -1,9 +1,10 @@
 #pragma once
-// Retry/recovery policy for the fault-tolerant runtime: per-step attempt
-// budgets with exponential backoff, a pluggable clock so backoff and step
-// timeouts are deterministic under test (SimClock advances instantly), and
-// the cooperative cancellation token the executor's watchdog uses to cut
-// hung attempts loose.
+// Retry/recovery support for the fault-tolerant runtime: the fixed
+// exponential backoff between attempts, a pluggable clock so backoff and
+// step timeouts are deterministic under test (SimClock advances instantly),
+// and the cooperative cancellation token the executor's watchdog uses to
+// cut hung attempts loose. The attempt budget is
+// ExecutorOptions::max_attempts.
 //
 // The paper's §4-§5 failure catalog is full of tools that die mid-flow
 // (crashing netlisters, license drops); a flow manager that cannot retry
@@ -19,24 +20,9 @@
 
 namespace interop::runtime {
 
-/// Per-step retry policy. An attempt that fails (or times out) is retried
-/// in place — the step never leaves Running between attempts, so the
-/// engine's scheduling semantics are untouched — until the budget runs out;
-/// only the final attempt's result reaches Engine::apply_step_result.
-struct RetryPolicy {
-  /// Total attempts per claim (1 = no retries, the pre-fault behavior).
-  int max_attempts = 1;
-  /// Backoff before retry k (1-based) is base * factor^(k-1), capped.
-  std::uint64_t backoff_base_us = 1000;
-  double backoff_factor = 2.0;
-  std::uint64_t backoff_max_us = 60'000'000;
-  /// Retry-on classification: which attempt outcomes consume the budget.
-  bool retry_failures = true;  ///< nonzero exit / explicit failure
-  bool retry_timeouts = true;  ///< cooperatively cancelled attempts
-
-  /// Deterministic backoff delay after `failed_attempts` failures (>= 1).
-  std::uint64_t delay_us(int failed_attempts) const;
-};
+/// Backoff before the retry that follows `failed_attempts` failures
+/// (>= 1): 1 ms * 2^(failed_attempts - 1), capped at 60 s.
+std::uint64_t backoff_delay_us(int failed_attempts);
 
 /// Monotonic-time source the executor, journal, and backoff sleep share.
 /// Injecting SimClock makes every retry delay and timeout deterministic and

@@ -185,11 +185,7 @@ std::string Engine::instantiate(const std::vector<std::string>& blocks) {
   for (auto& [name, status] : instance_.steps) {
     for (const std::string& path : status.def.reads)
       readers_[path].push_back(&status);
-    std::vector<StepStatus*> deps;
-    deps.reserve(status.def.start_after.size());
-    for (const std::string& dep : status.def.start_after)
-      deps.push_back(instance_.find(dep));
-    ready_index_.emplace_back(&status, std::move(deps));
+    ready_index_.push_back({&status, {}});
     if (!status.def.finish_with.empty()) {
       std::vector<StepStatus*> fdeps;
       fdeps.reserve(status.def.finish_with.size());
@@ -199,25 +195,44 @@ std::string Engine::instantiate(const std::vector<std::string>& blocks) {
     }
   }
 
+  std::sort(ready_index_.begin(), ready_index_.end(),
+            [](const ReadyRow& a, const ReadyRow& b) {
+              if (a.status->rank != b.status->rank)
+                return a.status->rank < b.status->rank;
+              return a.status->def.name < b.status->def.name;
+            });
+  std::map<const StepStatus*, std::size_t> row_of;
+  for (std::size_t i = 0; i < ready_index_.size(); ++i)
+    row_of[ready_index_[i].status] = i;
+  for (ReadyRow& row : ready_index_)
+    for (const std::string& dep : row.status->def.start_after) {
+      const StepStatus* s = instance_.find(dep);
+      row.deps.push_back(s ? row_of.at(s) : kNoRow);
+    }
+
   refresh_readiness();
   return "";
 }
 
-bool Engine::deps_ok(const std::vector<StepStatus*>& deps) {
-  for (const StepStatus* s : deps)
+bool Engine::finish_deps_ok(const std::string& name) const {
+  auto it = finish_deps_.find(name);
+  if (it == finish_deps_.end()) return true;
+  for (const StepStatus* s : it->second)
     if (!s || s->state != StepState::Succeeded) return false;
   return true;
 }
 
-bool Engine::finish_deps_ok(const std::string& name) const {
-  auto it = finish_deps_.find(name);
-  return it == finish_deps_.end() || deps_ok(it->second);
-}
-
 void Engine::refresh_readiness() {
-  for (auto& [status, deps] : ready_index_) {
-    if (status->state == StepState::Waiting && deps_ok(deps))
-      status->state = StepState::Ready;
+  for (ReadyRow& row : ready_index_) {
+    if (row.status->state != StepState::Waiting) continue;
+    bool ok = true;
+    for (std::size_t dep : row.deps)
+      if (dep == kNoRow ||
+          ready_index_[dep].status->state != StepState::Succeeded) {
+        ok = false;
+        break;
+      }
+    if (ok) row.status->state = StepState::Ready;
   }
 }
 
@@ -318,41 +333,48 @@ void Engine::try_finish(const std::string& name) {
   }
 }
 
-std::vector<std::string> Engine::runnable_steps() const {
-  std::vector<std::pair<int, const std::string*>> ranked;
-  for (const auto& [name, status] : instance_.steps) {
-    if (status.state != StepState::Ready &&
-        status.state != StepState::NeedsRerun)
-      continue;
-    if (!status.def.required_role.empty() && status.def.required_role != role_)
-      continue;
-    ranked.emplace_back(status.rank, &name);
+std::vector<StepStatus*> Engine::claimable_steps() const {
+  // One pass in rank order: a step is settled when it and everything above
+  // it have Succeeded; its deps' rows come before its own.
+  std::vector<char> settled(ready_index_.size(), 0);
+  std::vector<StepStatus*> out;
+  for (std::size_t i = 0; i < ready_index_.size(); ++i) {
+    const ReadyRow& row = ready_index_[i];
+    bool upstream_ok = true;
+    for (std::size_t dep : row.deps)
+      if (dep == kNoRow || !settled[dep]) {
+        upstream_ok = false;
+        break;
+      }
+    StepState state = row.status->state;
+    settled[i] = upstream_ok && state == StepState::Succeeded;
+    if (upstream_ok &&
+        (state == StepState::Ready || state == StepState::NeedsRerun) &&
+        (row.status->def.required_role.empty() ||
+         row.status->def.required_role == role_))
+      out.push_back(row.status);
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const std::pair<int, const std::string*>& a,
-               const std::pair<int, const std::string*>& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return *a.second < *b.second;
-            });
+  return out;
+}
+
+std::vector<std::string> Engine::runnable_steps() const {
   std::vector<std::string> out;
-  out.reserve(ranked.size());
-  for (auto& [rank, name] : ranked) out.push_back(*name);
+  for (const StepStatus* status : claimable_steps())
+    out.push_back(status->def.name);
   return out;
 }
 
 std::vector<Engine::StepClaim> Engine::begin_steps(
     const std::vector<std::string>& names) {
   refresh_readiness();
+  std::vector<StepStatus*> claimable = claimable_steps();
+  std::sort(claimable.begin(), claimable.end(), std::less<StepStatus*>());
   std::vector<StepClaim> out;
   out.reserve(names.size());
   for (const std::string& name : names) {
     StepStatus* status = instance_.find(name);
-    if (!status) continue;
-    if (!status->def.required_role.empty() &&
-        status->def.required_role != role_)
-      continue;
-    if (status->state != StepState::Ready &&
-        status->state != StepState::NeedsRerun)
+    if (!std::binary_search(claimable.begin(), claimable.end(), status,
+                            std::less<StepStatus*>()))
       continue;
     StepClaim claim;
     claim.name = name;

@@ -63,8 +63,8 @@ class Engine {
   /// below hold it while actions may be running.
   std::mutex& mutex() { return mu_; }
 
-  /// Steps currently claimable: Ready or NeedsRerun, role-permitted,
-  /// ordered by topological rank (upstream first) then name.
+  /// Steps currently claimable (see claimable_steps()), ordered by
+  /// topological rank (upstream first) then name.
   std::vector<std::string> runnable_steps() const;
 
   /// One granted claim out of begin_steps().
@@ -73,9 +73,9 @@ class Engine {
     bool was_rerun = false;
   };
   /// Frontier claim: recompute readiness once, then claim every step in
-  /// `names` that is claimable (Ready or NeedsRerun, role-permitted),
-  /// transitioning it to Running. Returns the granted claims in input
-  /// order; non-claimable names are skipped silently.
+  /// `names` that is claimable (see claimable_steps()), transitioning it to
+  /// Running. Returns the granted claims in input order; non-claimable
+  /// names are skipped silently.
   std::vector<StepClaim> begin_steps(const std::vector<std::string>& names);
 
   /// Stamp the start of a claimed step's attempt: apply_step_result()
@@ -143,8 +143,13 @@ class Engine {
  private:
   friend class ActionApi;
 
-  /// True when every resolved dep (see ready_index_) is Succeeded.
-  static bool deps_ok(const std::vector<StepStatus*>& deps);
+  /// The claim rule (§5: a step starts only after the steps it depends
+  /// on), in (rank, name) order: the step is Ready or NeedsRerun, every
+  /// step upstream of it through start_after, transitively, has
+  /// Succeeded, and the user's role permits it. A rework step therefore
+  /// waits until every rerun above it has finished, so at any worker count
+  /// it runs once per change, as in the serial loop.
+  std::vector<StepStatus*> claimable_steps() const;
   /// True when `name`'s finish_with deps (if any) are all Succeeded.
   bool finish_deps_ok(const std::string& name) const;
   void on_data_written(const std::string& path, LogicalTime t);
@@ -172,10 +177,16 @@ class Engine {
   /// on_data_written() consults only a path's readers instead of scanning
   /// every step per write.
   std::map<std::string, std::vector<StepStatus*>> readers_;
-  /// Every step paired with its resolved start_after deps (a missing dep
-  /// resolves to nullptr and keeps the step Waiting forever, matching the
-  /// name-lookup behavior). refresh_readiness() walks this flat array.
-  std::vector<std::pair<StepStatus*, std::vector<StepStatus*>>> ready_index_;
+  /// One row per step with the rows of its start_after deps (kNoRow for a
+  /// name that resolves to no step, which keeps the step Waiting forever),
+  /// in (rank, name) order, so a dep's row comes before the rows that name
+  /// it. refresh_readiness() and claimable_steps() walk this flat array.
+  struct ReadyRow {
+    StepStatus* status;
+    std::vector<std::size_t> deps;
+  };
+  static constexpr std::size_t kNoRow = std::size_t(-1);
+  std::vector<ReadyRow> ready_index_;
   /// Resolved finish_with deps, only for steps that declare any.
   std::map<std::string, std::vector<StepStatus*>> finish_deps_;
   /// Steps currently parked in AwaitingFinish, maintained at every

@@ -83,9 +83,7 @@ TEST_P(Anneal, RefinementNeverWorsensBeyondNoise) {
   PhysDesign design = make_pnr_workload(opt);
 
   std::int64_t initial = total_hpwl(design);
-  AnnealOptions aopt;
-  aopt.seed = GetParam() * 3 + 1;
-  PlaceResult r = place_annealed(design, aopt);
+  PlaceResult r = place_annealed(design, GetParam() * 3 + 1);
   EXPECT_EQ(r.hpwl_initial, initial);
   // Annealing ends cold: final is at or below the initial placement.
   EXPECT_LE(r.hpwl_final, initial);
@@ -123,9 +121,7 @@ TEST(Anneal, WithinNoiseOfGreedy) {
     popt.swap_iterations = 3000;
     // place() was already run by the generator; apply refinement passes.
     greedy_total += place(g, popt).hpwl_final;
-    AnnealOptions aopt;
-    aopt.seed = seed;
-    anneal_total += place_annealed(a, aopt).hpwl_final;
+    anneal_total += place_annealed(a, seed).hpwl_final;
   }
   EXPECT_LE(anneal_total, std::int64_t(double(greedy_total) * 1.15));
 }

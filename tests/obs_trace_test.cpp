@@ -290,16 +290,13 @@ TEST(RuntimeObsGolden, FlowTraceMatchesJournal) {
   TraceSession session;
   session.arm();
 
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.backoff_base_us = 10;
   FaultPlan plan;
   plan.schedule[{"w1", 1}] = FaultKind::Fail;       // w1 retries once
   plan.schedule[{"w3", 1}] = FaultKind::TornWrite;  // w3 retries once
 
   ParallelExecutor par(golden_flow(6), {},
                        std::make_unique<wf::SimpleDataManager>(),
-                       {.workers = 4, .retry = retry}, nullptr);
+                       {.workers = 4, .max_attempts = 3}, nullptr);
   par.set_fault_injector(
       std::make_shared<FaultInjector>(/*seed=*/1234, plan));
   ASSERT_TRUE(par.instantiate({}).empty());

@@ -125,9 +125,7 @@ TEST(PlaceGolden, AnnealingMatchesCapturedPlacements) {
     popt.seed = g.seed;
     popt.row_height = s.row_height;
     place(s.design, popt);
-    AnnealOptions aopt;
-    aopt.seed = g.seed;
-    PlaceResult r = place_annealed(s.design, aopt);
+    PlaceResult r = place_annealed(s.design, g.seed);
     expect_golden(g, r, s.design, "place_annealed");
   }
 }

@@ -183,8 +183,7 @@ TEST(RuntimeChaos, SweepConvergesToFaultFreeStateAcrossSeedsAndWorkers) {
 
       ExecutorOptions options;
       options.workers = workers;
-      options.retry.max_attempts = 4;  // > max_faults_per_step: converges
-      options.retry.backoff_base_us = 1000;
+      options.max_attempts = 4;  // > max_faults_per_step: converges
       options.step_timeout_us = 50'000;
 
       ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
@@ -234,7 +233,7 @@ TEST(RuntimeChaos, ScheduledFaultsYieldExactRetryCounts) {
 
   ExecutorOptions options;
   options.workers = 2;
-  options.retry.max_attempts = 4;
+  options.max_attempts = 4;
   ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
                        options);
   par.set_clock(std::make_shared<SimClock>());
@@ -279,7 +278,7 @@ TEST(RuntimeChaos, HangIsCancelledAtStepTimeoutAndRetried) {
 
   ExecutorOptions options;
   options.workers = 2;
-  options.retry.max_attempts = 3;
+  options.max_attempts = 3;
   options.step_timeout_us = 20'000;
   ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
                        options);
@@ -314,7 +313,7 @@ TEST(RuntimeChaos, RetryBudgetExhaustionFailsTheStep) {
 
   ExecutorOptions options;
   options.workers = 2;
-  options.retry.max_attempts = 2;  // < faults scheduled: must fail
+  options.max_attempts = 2;  // < faults scheduled: must fail
   ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
                        options);
   par.set_clock(std::make_shared<SimClock>());
@@ -332,28 +331,40 @@ TEST(RuntimeChaos, RetryBudgetExhaustionFailsTheStep) {
   EXPECT_FALSE(recs.back().ok);
 }
 
-TEST(RuntimeChaos, DisabledRetryClassesAreHonored) {
-  const FlowTemplate flow = make_layered(2, 2, /*seed=*/3);
-
+// Start-to-previous-end gaps of `step`'s attempts when it fails its first
+// `failures` attempts under `failures + 1` attempts on a SimClock.
+std::vector<std::uint64_t> backoff_gaps(const std::string& step,
+                                        int failures) {
   FaultPlan plan;
-  plan.schedule[{"s0_0", 1}] = FaultKind::Fail;
-
+  for (int a = 1; a <= failures; ++a)
+    plan.schedule[{step, a}] = FaultKind::Fail;
   ExecutorOptions options;
-  options.workers = 1;
-  options.retry.max_attempts = 4;
-  options.retry.retry_failures = false;  // classification gate
-  ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),
-                       options);
+  options.workers = 1;  // one attempt at a time on the shared clock
+  options.max_attempts = failures + 1;
+  ParallelExecutor par(make_layered(2, 2, /*seed=*/3), {},
+                       std::make_unique<SimpleDataManager>(), options);
   par.set_clock(std::make_shared<SimClock>());
   par.set_fault_injector(std::make_shared<FaultInjector>(1, plan));
   par.engine().data().write("inputs.dat", "v1");
-  ASSERT_EQ(par.instantiate({}), "");
-
+  EXPECT_EQ(par.instantiate({}), "");
   RunStats stats = par.run();
-  EXPECT_FALSE(par.complete());
-  EXPECT_EQ(stats.retries, 0);
-  EXPECT_EQ(stats.failures, 1);
-  ASSERT_EQ(par.journal().attempts_for("s0_0").size(), 1u);
+  EXPECT_TRUE(par.complete()) << stats.error;
+  std::vector<JournalEntry> recs = par.journal().attempts_for(step);
+  EXPECT_EQ(recs.size(), std::size_t(failures + 1));
+  std::vector<std::uint64_t> gaps;
+  for (std::size_t k = 1; k < recs.size(); ++k)
+    gaps.push_back(recs[k].start_us - recs[k - 1].end_us);
+  return gaps;
+}
+
+TEST(RuntimeChaos, BackoffDoublesFromOneMillisecondUpToSixtySeconds) {
+  EXPECT_EQ(backoff_gaps("s1_0", 3),
+            (std::vector<std::uint64_t>{1000, 2000, 4000}));
+  // The backoff after 17 failures would be 2^16 ms = 65.536 s.
+  std::vector<std::uint64_t> gaps = backoff_gaps("s0_0", 17);
+  ASSERT_EQ(gaps.size(), 17u);
+  EXPECT_EQ(gaps[15], 32'768'000u);
+  EXPECT_EQ(gaps[16], 60'000'000u);
 }
 
 TEST(RuntimeChaos, KillMidRunThenResumeExecutesOnlyLostWork) {
@@ -614,7 +625,7 @@ TEST(RuntimeChaos, InjectorDecisionsArePureInSeedStepAttempt) {
   EXPECT_GT(a.counts().total(), 0);
 
   // Attempts past max_faults_per_step are always clean: the convergence
-  // guarantee behind retry.max_attempts > max_faults_per_step.
+  // guarantee behind max_attempts > max_faults_per_step.
   for (int step = 0; step < 32; ++step)
     EXPECT_EQ(a.decide("step" + std::to_string(step), 4, true),
               FaultKind::None);

@@ -135,8 +135,7 @@ RunOutcome run_config(const FlowTemplate& flow, int workers,
   ExecutorOptions options;
   options.workers = workers;
   if (fault_seed != 0) {
-    options.retry.max_attempts = 4;
-    options.retry.backoff_base_us = 1000;
+    options.max_attempts = 4;
     options.step_timeout_us = 50'000;
   }
   ParallelExecutor par(flow, {}, std::make_unique<SimpleDataManager>(),

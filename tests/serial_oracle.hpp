@@ -4,7 +4,8 @@
 // name), one at a time, through the engine's claim/attempt/apply hooks,
 // until no step is runnable. Its own livelock bound stops a step scheduled
 // more than kLivelockLimit times in one call. The executor's 1-worker run
-// must match it step for step (RuntimeExecutor.OneWorkerMatchesSerial*).
+// must match it step for step, and a rework run at any worker count must
+// run the same steps as often (RuntimeExecutor.OneWorkerMatchesSerial*).
 
 #include <map>
 #include <string>

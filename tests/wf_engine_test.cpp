@@ -173,6 +173,59 @@ TEST(Engine, TriggerMarksDownstreamForRework) {
   EXPECT_GT(engine.metrics().reruns, 0);
 }
 
+// top -> mid -> low, where top and low both read in.dat: one write to
+// in.dat marks both for rework, two ranks apart.
+FlowTemplate make_chain(Action top_action, std::string top_role) {
+  FlowTemplate flow;
+  flow.name = "chain";
+  flow.steps = {
+      {"top", std::move(top_action), {}, {}, {"in.dat"}, {}, top_role, "",
+       ""},
+      {"mid", ok_action("mid"), {"top"}, {}, {}, {}, "", "", ""},
+      {"low", ok_action("low"), {"mid"}, {}, {"in.dat"}, {}, "", "", ""}};
+  return flow;
+}
+
+TEST(Engine, ReworkWaitsBelowAFailedStep) {
+  Engine engine(make_chain({"top", ActionLanguage::Shell,
+                            [](ActionApi& api) {
+                              bool v1 = api.read_data("in.dat") == "v1";
+                              return ActionResult{v1 ? 0 : 1, ""};
+                            }},
+                           ""),
+                {}, std::make_unique<SimpleDataManager>());
+  engine.data().write("in.dat", "v1");
+  ASSERT_EQ(engine.instantiate({}), "");
+  oracle::run_all(engine);
+  ASSERT_TRUE(engine.complete());
+
+  engine.data().write("in.dat", "v2");
+  EXPECT_EQ(engine.runnable_steps(), std::vector<std::string>{"top"});
+  EXPECT_EQ(oracle::run_all(engine), 1);  // top reruns and fails
+  EXPECT_EQ(engine.status_report().at("top"), StepState::Failed);
+  // mid is still Succeeded, but low waits below the failed top.
+  EXPECT_EQ(engine.status_report().at("low"), StepState::NeedsRerun);
+  EXPECT_TRUE(engine.runnable_steps().empty());
+  EXPECT_FALSE(oracle::run_step(engine, "low"));
+}
+
+TEST(Engine, ReworkWaitsBelowAStepTheRoleMayNotRun) {
+  Engine engine(make_chain(ok_action("top"), "manager"), {},
+                std::make_unique<SimpleDataManager>(), "engineer");
+  ASSERT_EQ(engine.instantiate({}), "");
+  // A manager's earlier session ran the whole chain.
+  for (const char* name : {"top", "mid", "low"})
+    engine.instance().find(name)->state = StepState::Succeeded;
+
+  engine.data().write("in.dat", "v2");
+  EXPECT_EQ(engine.status_report().at("top"), StepState::NeedsRerun);
+  EXPECT_EQ(engine.status_report().at("low"), StepState::NeedsRerun);
+  // The engineer may not rerun top, so low waits below it.
+  EXPECT_TRUE(engine.runnable_steps().empty());
+  EXPECT_EQ(oracle::run_all(engine), 0);
+  EXPECT_FALSE(oracle::run_step(engine, "low"));
+}
+
 TEST(Engine, ResetStepCascadesDownstream) {
   Engine engine(make_flow(), {}, std::make_unique<SimpleDataManager>(),
                 "manager");
