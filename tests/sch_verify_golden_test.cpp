@@ -7,8 +7,11 @@
 // string-keyed extraction and comparison, before netlists were interned,
 // on generator seeds 1-5 at four sizes, and on migrated designs broken so
 // that all five diff kinds occur. A clean migration reports no diff, so
-// the broken cases are the only coverage of the diff paths. A mismatch
-// prints the actual row in the table's own syntax.
+// the broken cases are the only coverage of the diff paths. The three-cell
+// goldens ("m" rows) were captured from the one-pass verify_migration,
+// before it was split into a source side and a check; they pin the order
+// of diffs and diagnostics across cells. A mismatch prints the actual row
+// in the table's own syntax.
 //
 // The sweep (GOLDEN_SEED_RANGE=lo:hi, ctest `sch_verify_sweep`, label
 // `sweep`) has no goldens to lean on; it checks verify_migration, the
@@ -312,6 +315,57 @@ constexpr Golden kGoldens[] = {
     {"s5c100/drop-global-tap", 1, 0xb655ac33af1dada6ULL, 0x226a678baccbce73ULL},
     {"s5c100/unglobal-net", 1, 0xace3cc67f138cfe9ULL, 0x226a678baccbce73ULL},
     {"s5c100/pin-map", 32, 0x6047c86c4a5f3438ULL, 0x226a678baccbce73ULL},
+    // Three-cell designs (SchVerifyGoldenMultiCell), "m<seed>c<components>".
+    {"m1c12/clean", 0, 0xcbf29ce484222325ULL, 0x44605987eecd1d9dULL},
+    {"m1c12/mid-drop-wire", 1, 0x4cb7043439904f90ULL, 0x44605987eecd1d9dULL},
+    {"m1c12/leaf-rename-top-flip", 2, 0x878525fae2fc3872ULL, 0x44605987eecd1d9dULL},
+    {"m1c12/pin-map", 30, 0xd5edd368d109ad6dULL, 0x44605987eecd1d9dULL},
+    {"m1c12/mid-missing", 1, 0x838967092c89a9fbULL, 0xcbf29ce484222325ULL},
+    {"m2c12/clean", 0, 0xcbf29ce484222325ULL, 0x9fee59bcc4203288ULL},
+    {"m2c12/mid-drop-wire", 1, 0xba083bf80efaac2cULL, 0x9fee59bcc4203288ULL},
+    {"m2c12/leaf-rename-top-flip", 3, 0x2b45f6219ea95f32ULL, 0x9fee59bcc4203288ULL},
+    {"m2c12/pin-map", 18, 0xb06a21a886944e23ULL, 0x9fee59bcc4203288ULL},
+    {"m2c12/mid-missing", 1, 0x838967092c89a9fbULL, 0xfc0f361515ef182aULL},
+    {"m3c12/clean", 0, 0xcbf29ce484222325ULL, 0xbe1c18ad3a970295ULL},
+    {"m3c12/mid-drop-wire", 1, 0x828ba10d7b9bfbbaULL, 0xbe1c18ad3a970295ULL},
+    {"m3c12/leaf-rename-top-flip", 3, 0x028abaaef511628cULL, 0xbe1c18ad3a970295ULL},
+    {"m3c12/pin-map", 28, 0xc1d03b818b1d327dULL, 0xbe1c18ad3a970295ULL},
+    {"m3c12/mid-missing", 1, 0x838967092c89a9fbULL, 0x56640c4a5232cdc0ULL},
+    {"m4c12/clean", 0, 0xcbf29ce484222325ULL, 0x962224141254ddbcULL},
+    {"m4c12/mid-drop-wire", 1, 0x59dbbb374dc251e5ULL, 0x962224141254ddbcULL},
+    {"m4c12/leaf-rename-top-flip", 3, 0xf9644a0a9b82c4cbULL, 0x962224141254ddbcULL},
+    {"m4c12/pin-map", 28, 0x0929a10a662fe6fbULL, 0x962224141254ddbcULL},
+    {"m4c12/mid-missing", 1, 0x838967092c89a9fbULL, 0x962224141254ddbcULL},
+    {"m5c12/clean", 0, 0xcbf29ce484222325ULL, 0x3fbc2600c568b5e2ULL},
+    {"m5c12/mid-drop-wire", 1, 0xddfe95b5b1b7b1dfULL, 0x3fbc2600c568b5e2ULL},
+    {"m5c12/leaf-rename-top-flip", 3, 0x7278ba10eb884deeULL, 0x3fbc2600c568b5e2ULL},
+    {"m5c12/pin-map", 24, 0x681e002f515918d1ULL, 0x3fbc2600c568b5e2ULL},
+    {"m5c12/mid-missing", 1, 0x838967092c89a9fbULL, 0x783cfbfc3902b674ULL},
+    {"m1c100/clean", 0, 0xcbf29ce484222325ULL, 0x7f70da199049f431ULL},
+    {"m1c100/mid-drop-wire", 1, 0xbd187fb0f2bcba76ULL, 0x7f70da199049f431ULL},
+    {"m1c100/leaf-rename-top-flip", 3, 0x3b10216f4cffdf83ULL, 0x7f70da199049f431ULL},
+    {"m1c100/pin-map", 108, 0x8db17d31eeb187c4ULL, 0x7f70da199049f431ULL},
+    {"m1c100/mid-missing", 1, 0x838967092c89a9fbULL, 0x6798dfd8dcdb4fd1ULL},
+    {"m2c100/clean", 0, 0xcbf29ce484222325ULL, 0x493ca5084f81fbf3ULL},
+    {"m2c100/mid-drop-wire", 1, 0xa745f60024175ad0ULL, 0x493ca5084f81fbf3ULL},
+    {"m2c100/leaf-rename-top-flip", 3, 0x86e2714a5de77b0aULL, 0x493ca5084f81fbf3ULL},
+    {"m2c100/pin-map", 86, 0x2787252f55ca7b43ULL, 0x493ca5084f81fbf3ULL},
+    {"m2c100/mid-missing", 1, 0x838967092c89a9fbULL, 0xf54e572e6d5bc259ULL},
+    {"m3c100/clean", 0, 0xcbf29ce484222325ULL, 0x46f3f3b98884dd28ULL},
+    {"m3c100/mid-drop-wire", 1, 0x8b4a08bcafbad436ULL, 0x46f3f3b98884dd28ULL},
+    {"m3c100/leaf-rename-top-flip", 3, 0x7d4dde457a475a78ULL, 0x46f3f3b98884dd28ULL},
+    {"m3c100/pin-map", 106, 0xc8a7e77281b3b40fULL, 0x46f3f3b98884dd28ULL},
+    {"m3c100/mid-missing", 1, 0x838967092c89a9fbULL, 0xbcdf30fb96d2cd9eULL},
+    {"m4c100/clean", 0, 0xcbf29ce484222325ULL, 0x8272e3bf1b355c79ULL},
+    {"m4c100/mid-drop-wire", 1, 0x8d991aa337e7a930ULL, 0x8272e3bf1b355c79ULL},
+    {"m4c100/leaf-rename-top-flip", 3, 0x95769fe5ffd58dd5ULL, 0x8272e3bf1b355c79ULL},
+    {"m4c100/pin-map", 79, 0xe5578291fe454dcfULL, 0x8272e3bf1b355c79ULL},
+    {"m4c100/mid-missing", 1, 0x838967092c89a9fbULL, 0x723122d245c0e9adULL},
+    {"m5c100/clean", 0, 0xcbf29ce484222325ULL, 0x63910ceab5b2ed83ULL},
+    {"m5c100/mid-drop-wire", 1, 0x925694339adb021eULL, 0x34fdc65f81c46c49ULL},
+    {"m5c100/leaf-rename-top-flip", 3, 0xafbddf33a15859faULL, 0x63910ceab5b2ed83ULL},
+    {"m5c100/pin-map", 110, 0xd56a4412272ff100ULL, 0x63910ceab5b2ed83ULL},
+    {"m5c100/mid-missing", 1, 0x838967092c89a9fbULL, 0x21bba05bc71ebf5eULL},
 };
 // clang-format on
 
@@ -379,6 +433,92 @@ TEST(SchVerifyGoldenBroken, EveryDiffKindMatches) {
         NetlistDiff::Kind::ConnectionChange, NetlistDiff::Kind::PortChange,
         NetlistDiff::Kind::GlobalChange})
     EXPECT_TRUE(seen.count(k)) << "no case reports " << to_string(k);
+}
+
+// ------------------------------------------------------------- multi-cell
+//
+// verify_migration checks cell after cell in name order, and within a cell
+// it reports the golden extraction's diagnostics before the subject's. The
+// generator draws one cell ("top"), so these designs join three seeds'
+// cells into one design; each case edits the migrated design (or the
+// configuration) in one or more cells, or drops a cell.
+
+/// `seed`'s scenario plus the "top" cells of seeds seed + 100 and seed + 200
+/// as "mid" and "leaf", each with its own cell symbol.
+Scenario multi_cell_scenario(std::uint64_t seed, int components) {
+  Scenario scenario = make_exar_scenario(generator_case(seed, components));
+  for (const auto& [offset, cell] :
+       {std::pair<std::uint64_t, const char*>{100, "mid"}, {200, "leaf"}}) {
+    Scenario other =
+        make_exar_scenario(generator_case(seed + offset, components));
+    SymbolDef symbol = *other.source.find_symbol({"design_lib", "top", "sym"});
+    symbol.key.cell = cell;
+    scenario.source.add_symbol(std::move(symbol));
+    Schematic sch = *other.source.find_schematic("top");
+    sch.cell = cell;
+    scenario.source.add_schematic(std::move(sch));
+  }
+  return scenario;
+}
+
+/// `design` without the schematic of `cell`.
+Design without_cell(const Design& design, const std::string& cell) {
+  Design out(design.grid());
+  for (const auto& [key, def] : design.symbols()) out.add_symbol(def);
+  for (const auto& [name, sch] : design.schematics())
+    if (name != cell) out.add_schematic(sch);
+  return out;
+}
+
+TEST(SchVerifyGoldenMultiCell, PerCellOrderMatches) {
+  using Edit = void (*)(const Design& src, Design& migrated,
+                        MigrationConfig& config, base::Rng& rng);
+  const std::pair<const char*, Edit> cases[] = {
+      {"clean", [](const Design&, Design&, MigrationConfig&, base::Rng&) {}},
+      {"mid-drop-wire",
+       [](const Design&, Design& migrated, MigrationConfig&, base::Rng& rng) {
+         drop_wire(*migrated.find_schematic("mid"), rng);
+       }},
+      {"leaf-rename-top-flip",
+       [](const Design&, Design& migrated, MigrationConfig&, base::Rng& rng) {
+         rename_label(*migrated.find_schematic("leaf"), rng);
+         flip_port(migrated, *migrated.find_schematic("top"), rng);
+       }},
+      {"pin-map",
+       [](const Design& src, Design&, MigrationConfig& config,
+          base::Rng& rng) { break_pin_map(src, config, rng); }},
+      {"mid-missing",
+       [](const Design&, Design& migrated, MigrationConfig&, base::Rng&) {
+         migrated = without_cell(migrated, "mid");
+       }},
+  };
+  for (int components : {12, 100}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      Scenario scenario = multi_cell_scenario(seed, components);
+      ASSERT_EQ(scenario.source.schematics().size(), 3u);
+      base::DiagnosticEngine migrate_diags;
+      const MigrationResult result =
+          migrate_design(scenario.source, scenario.config, migrate_diags);
+      for (std::size_t c = 0; c < std::size(cases); ++c) {
+        const auto& [name, edit] = cases[c];
+        Design migrated = result.design;
+        MigrationConfig config = scenario.config;
+        base::Rng rng(seed * 7919 + c);
+        edit(scenario.source, migrated, config, rng);
+        base::DiagnosticEngine diags;
+        std::vector<NetlistDiff> diffs =
+            verify_migration(scenario.source, migrated, config, diags);
+        Observed o;
+        o.diffs = diffs.size();
+        o.diff_digest = fnv1a(diffs_text(diffs));
+        o.diag_digest = fnv1a(diag_text(diags));
+        const std::string label = "m" + std::to_string(seed) + "c" +
+                                  std::to_string(components) + "/" + name;
+        EXPECT_EQ(o.diffs == 0, c == 0) << label;
+        expect_golden(label, o);
+      }
+    }
+  }
 }
 
 

@@ -335,6 +335,67 @@ TEST(ServiceCore, MigrateEndpointVerifiesClean) {
   EXPECT_NE(migrated.find_schematic("top"), nullptr);
 }
 
+// The Migrate endpoint against the stages run one after another in the
+// caller: body and every counter must match, on every generator size and
+// on a two-cell design (whose cells migrate and verify in name order).
+TEST(ServiceCore, MigrateEndpointMatchesSerialStages) {
+  auto scenario = [](std::uint64_t seed, int components) {
+    sch::GeneratorOptions gopt;
+    gopt.seed = seed;
+    gopt.components_per_sheet = components;
+    gopt.nets_per_sheet = components * 2 / 3;
+    return sch::make_exar_scenario(gopt);
+  };
+  std::vector<sch::Scenario> cases;
+  for (int components : {12, 100, 400})
+    for (std::uint64_t seed = 1; seed <= 5; ++seed)
+      cases.push_back(scenario(seed, components));
+  // Two cells: seed 6's "top" joins seed 7's, renamed "sub".
+  sch::Scenario two_cell = scenario(6, 100);
+  sch::Scenario other = scenario(7, 100);
+  sch::SymbolDef symbol = *other.source.find_symbol({"design_lib", "top"});
+  symbol.key.cell = "sub";
+  two_cell.source.add_symbol(std::move(symbol));
+  sch::Schematic sub = *other.source.find_schematic("top");
+  sub.cell = "sub";
+  two_cell.source.add_schematic(std::move(sub));
+  cases.push_back(std::move(two_cell));
+
+  InteropService svc(quiet_options());
+  LoopbackClient client(svc);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    Request req;
+    req.id = i;
+    req.type = MsgType::Migrate;
+    req.tenant = "exar";
+    req.design = sch::write_design(cases[i].source);
+    Response resp = client.call(req);
+    ASSERT_EQ(resp.status, Status::Ok) << "case " << i << ": " << resp.error;
+
+    base::DiagnosticEngine diags;
+    sch::Design src = sch::read_design(req.design, diags);
+    sch::MigrationResult result =
+        sch::migrate_design(src, cases[i].config, diags);
+    base::DiagnosticEngine verify_diags;
+    std::vector<sch::NetlistDiff> diffs = sch::verify_migration(
+        src, result.design, cases[i].config, verify_diags);
+    const sch::MigrationReport& r = result.report;
+    const std::vector<std::pair<std::string, std::uint64_t>> counters = {
+        {"sheets", r.sheets},
+        {"diffs", diffs.size()},
+        {"points_rescaled", r.points_rescaled},
+        {"labels_translated", r.labels_translated},
+        {"hier_connectors", r.hier_connectors_added},
+        {"offpage_connectors", r.offpage_connectors_added},
+        {"globals_replaced", r.globals_replaced},
+        {"props_applied", r.props.added + r.props.deleted + r.props.renamed +
+                              r.props.changed + r.props.callbacks_run},
+    };
+    EXPECT_EQ(resp.body, sch::write_design(result.design)) << "case " << i;
+    EXPECT_EQ(resp.counters, counters) << "case " << i;
+  }
+}
+
 TEST(ServiceCore, NetlistEndpointMatchesDirectExtraction) {
   InteropService svc(quiet_options());
   LoopbackClient client(svc);
