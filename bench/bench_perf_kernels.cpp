@@ -20,6 +20,7 @@
 #include "schematic/migrate.hpp"
 #include "schematic/netlist.hpp"
 #include "schematic/textio.hpp"
+#include "service/service.hpp"
 
 namespace {
 
@@ -213,6 +214,31 @@ void BM_MigrateRequest(benchmark::State& state) {
   state.counters["instances"] = double(sc.source.instance_count());
 }
 BENCHMARK(BM_MigrateRequest)->Arg(12)->Arg(100)->Arg(400)->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
+
+/// The same request through the service, one at a time: the Migrate
+/// endpoint runs verify's source side beside the migration and the check
+/// beside the write, so its wall time is the parallel critical path.
+void BM_MigrateEndpoint(benchmark::State& state) {
+  using namespace interop;
+  sch::Scenario sc = schematic_scenario(state);
+  service::InteropService svc;
+  service::Request req;
+  req.type = service::MsgType::Migrate;
+  req.tenant = "bench";
+  req.design = sch::write_design(sc.source);
+  for (auto _ : state) {
+    service::Response resp = svc.call(req);
+    if (resp.status != service::Status::Ok ||
+        resp.counter("diffs", 1) != 0) {
+      state.SkipWithError("migrate request failed");
+      break;
+    }
+    benchmark::DoNotOptimize(resp.body.data());
+  }
+  state.counters["instances"] = double(sc.source.instance_count());
+}
+BENCHMARK(BM_MigrateEndpoint)->Arg(400)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The two text stages of a Migrate request on their own: parse the design

@@ -34,6 +34,10 @@ class ByteWriter {
     u32(std::uint32_t(s.size()));
     bytes(s);
   }
+  /// Overwrite the 4 bytes at `at` (already written) with `v`.
+  void u32_at(std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) out_[at + i] = char(v >> (8 * i));
+  }
 
  private:
   template <class T>

@@ -516,7 +516,9 @@ void Simulation::settle_timestep() {
 std::int64_t Simulation::run(std::int64_t until) {
   // Tracing aggregates locally and emits one counter sample per timestep,
   // so a disarmed run pays one atomic load per timestep, not per event.
-  obs::Span span("hdl", "sim.run", "\"until\":" + std::to_string(until));
+  obs::Span span("hdl", [until] {
+    return std::pair{"sim.run", "\"until\":" + std::to_string(until)};
+  });
   std::uint64_t timesteps = 0;
   std::uint64_t wakeups_total = 0;
   std::uint64_t deltas_at_entry = deltas_;

@@ -261,7 +261,11 @@ void counter(std::string_view cat, std::string_view name,
 }
 
 Span::Span(std::string_view cat, std::string_view name, std::string args) {
-  if (!armed()) return;
+  if (armed()) begin(cat, name, std::move(args));
+}
+
+void Span::begin(std::string_view cat, std::string_view name,
+                 std::string args) {
   buf_ = current_buffer(&session_);
   if (!buf_) return;
   id_ = next_span_id();

@@ -26,6 +26,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace interop::obs {
@@ -128,6 +130,17 @@ void counter(std::string_view cat, std::string_view name, std::int64_t value);
 class Span {
  public:
   Span(std::string_view cat, std::string_view name, std::string args = {});
+  /// The same span with its name and args from `make()`, which returns a
+  /// (name, args) pair and runs only when tracing is armed: a disarmed
+  /// span builds no strings.
+  template <class Make>
+    requires std::is_invocable_r_v<std::pair<std::string, std::string>,
+                                   Make&>
+  Span(std::string_view cat, Make&& make) {
+    if (!armed()) return;
+    std::pair<std::string, std::string> text = make();
+    begin(cat, text.first, std::move(text.second));
+  }
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -136,6 +149,8 @@ class Span {
   void end(std::string args = {});
 
  private:
+  void begin(std::string_view cat, std::string_view name, std::string args);
+
   std::string cat_;
   std::string name_;
   std::uint64_t id_ = 0;

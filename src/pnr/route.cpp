@@ -284,7 +284,9 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
 
   for (std::size_t n = 0; n < input.nets.size(); ++n) {
     const ToolInput::NetRecord& net = input.nets[n];
-    obs::Span net_span("pnr", "route:" + net.name);
+    obs::Span net_span("pnr", [&net] {
+      return std::pair{"route:" + net.name, std::string()};
+    });
     std::int64_t net_expansions = 0;
     std::size_t frontier_peak = 0;  // tracked only while the span is live
     RoutedNet routed;

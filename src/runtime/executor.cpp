@@ -411,8 +411,10 @@ RunStats ParallelExecutor::run_impl(
   next_claim_id_ = 0;
   resume_complete_ = journaled_complete;
 
-  obs::Span run_span("runtime", journaled_complete ? "resume_run" : "run",
-                     "\"workers\":" + std::to_string(options_.workers));
+  obs::Span run_span("runtime", [this, journaled_complete] {
+    return std::pair{journaled_complete ? "resume_run" : "run",
+                     "\"workers\":" + std::to_string(options_.workers)};
+  });
 
   journal_.begin_run(options_.workers);
 

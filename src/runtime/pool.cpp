@@ -1,5 +1,7 @@
 #include "runtime/pool.hpp"
 
+#include <exception>
+
 namespace interop::runtime {
 
 WorkerPool& WorkerPool::shared() {
@@ -27,14 +29,25 @@ void WorkerPool::submit(std::function<void()> task) {
 void WorkerPool::run(int n, const std::function<void(int)>& fn) {
   if (n <= 1) return fn(0);
   int pending = n - 1;
+  std::exception_ptr first;  // guarded by mu_
+  // The helpers use fn, pending and first: no call may unwind past them.
+  auto call = [this, &fn, &first](int i) {
+    try {
+      fn(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!first) first = std::current_exception();
+    }
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int i = 1; i < n; ++i) push_locked({[&fn, i] { fn(i); }, &pending});
+    for (int i = 1; i < n; ++i)
+      push_locked({[&call, i] { call(i); }, &pending});
   }
-  // The helpers use fn and pending: fn(0) must not unwind past them.
-  [&fn]() noexcept { fn(0); }();
+  call(0);
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&pending] { return pending == 0; });
+  if (first) std::rethrow_exception(first);
 }
 
 int WorkerPool::threads() const {

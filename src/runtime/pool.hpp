@@ -1,11 +1,13 @@
 #pragma once
 // The process's one worker pool: flow steps (ParallelExecutor), requests
-// (InteropService), daemon sessions (interopd) and fuzz jobs run on it. It
-// has no size: a task that finds no idle thread starts one, so callers
-// keep the concurrency they ask for and a task waiting on pool work (a
-// FlowRun request running an executor) cannot deadlock. Threads are never
-// torn down; the pool settles at the peak number of tasks in flight, and
-// each thread keeps its malloc arena (EXPERIMENTS.md §P2, service_mix RSS).
+// (InteropService; a Migrate request uses up to two threads, its migration
+// beside verify's source side, then its check beside its write), daemon
+// sessions (interopd) and fuzz jobs run on it. It has no size: a task that
+// finds no idle thread starts one, so callers keep the concurrency they
+// ask for and a task waiting on pool work (a FlowRun request running an
+// executor) cannot deadlock. Threads are never torn down; the pool settles
+// at the peak number of tasks in flight, and each thread keeps its malloc
+// arena (EXPERIMENTS.md §P2, service_mix RSS; §G1, migrate_large RSS).
 
 #include <condition_variable>
 #include <deque>
@@ -26,8 +28,8 @@ class WorkerPool {
   void submit(std::function<void()> task);
   /// Run fn(0) on the calling thread and fn(1) .. fn(n - 1) on pool
   /// threads; return once every call has returned and its thread is idle.
-  /// With n > 1 an exception escaping fn ends the program, as one escaping
-  /// a thread does; with n <= 1 it reaches the caller.
+  /// An exception escaping a call is caught; once every call has returned,
+  /// the first one caught is rethrown on the caller.
   void run(int n, const std::function<void(int)>& fn);
   /// Threads started so far.
   int threads() const;

@@ -338,12 +338,8 @@ MigrationResult migrate_design(const Design& src,
   return result;
 }
 
-std::vector<NetlistDiff> verify_migration(const Design& src,
-                                          const Design& migrated,
-                                          const MigrationConfig& config,
-                                          base::DiagnosticEngine& diags) {
-  std::vector<NetlistDiff> all;
-
+GoldenNetlists extract_golden(const Design& src,
+                              const MigrationConfig& config) {
   // Rewrite a golden canonical name the way translation would have.
   auto normalize_name = [&config](const std::string& name) {
     std::string out;
@@ -359,19 +355,14 @@ std::vector<NetlistDiff> verify_migration(const Design& src,
     return out;
   };
 
+  GoldenNetlists out;
+  out.cells.reserve(src.schematics().size());
   for (const auto& [cell, sch_src] : src.schematics()) {
-    const Schematic* sch_dst = migrated.find_schematic(cell);
-    if (!sch_dst) {
-      all.push_back({NetlistDiff::Kind::MissingNet, cell,
-                     "whole cell missing from migrated design"});
-      continue;
-    }
-
-    NamePool pool;
+    GoldenNetlists::Cell& g = out.cells.emplace_back();
+    g.name = cell;
+    NamePool& pool = g.pool;
     NetTable golden =
-        extract_net_table(src, sch_src, config.source, pool, diags);
-    NetTable subject =
-        extract_net_table(migrated, *sch_dst, config.target, pool, diags);
+        extract_net_table(src, sch_src, config.source, pool, g.diags);
 
     // Map golden pin names through the symbol map, once per (entry, pin).
     // The last instance of a name decides its symbol.
@@ -401,7 +392,7 @@ std::vector<NetlistDiff> verify_migration(const Design& src,
     // The golden table under target names. Normalization may collide two
     // names (itself a finding): their pins merge, and the flags come from
     // the net whose original name sorts first.
-    NetTable mapped;
+    NetTable& mapped = g.golden;
     mapped.cell = golden.cell;
     std::vector<NamePool::Id> flags_from;  ///< by mapped net: original name
     std::vector<std::uint32_t> mapped_of;  ///< by golden net
@@ -440,12 +431,40 @@ std::vector<NetlistDiff> verify_migration(const Design& src,
           mapped.pins.push_back(map_pin(p));
       mapped.close_run(mapped.nets[m], begin);
     }
+  }
+  return out;
+}
 
-    std::vector<NetlistDiff> diffs = compare_netlists(mapped, subject, pool);
-    for (NetlistDiff& d : diffs) d.net = cell + "/" + d.net;
+std::vector<NetlistDiff> check_migration(GoldenNetlists& golden,
+                                         const Design& migrated,
+                                         const MigrationConfig& config,
+                                         base::DiagnosticEngine& diags) {
+  std::vector<NetlistDiff> all;
+  for (GoldenNetlists::Cell& cell : golden.cells) {
+    const Schematic* sch_dst = migrated.find_schematic(cell.name);
+    if (!sch_dst) {
+      all.push_back({NetlistDiff::Kind::MissingNet, cell.name,
+                     "whole cell missing from migrated design"});
+      continue;
+    }
+    for (const base::Diagnostic& d : cell.diags.all())
+      diags.report(d.severity, d.code, d.message, d.location);
+    NetTable subject =
+        extract_net_table(migrated, *sch_dst, config.target, cell.pool, diags);
+    std::vector<NetlistDiff> diffs =
+        compare_netlists(cell.golden, subject, cell.pool);
+    for (NetlistDiff& d : diffs) d.net = cell.name + "/" + d.net;
     all.insert(all.end(), diffs.begin(), diffs.end());
   }
   return all;
+}
+
+std::vector<NetlistDiff> verify_migration(const Design& src,
+                                          const Design& migrated,
+                                          const MigrationConfig& config,
+                                          base::DiagnosticEngine& diags) {
+  GoldenNetlists golden = extract_golden(src, config);
+  return check_migration(golden, migrated, config, diags);
 }
 
 }  // namespace interop::sch

@@ -81,9 +81,32 @@ struct MigrationResult {
 MigrationResult migrate_design(const Design& src, const MigrationConfig& config,
                                base::DiagnosticEngine& diags);
 
-/// Independent verification: extract the source under the source dialect and
-/// the migrated design under the target dialect, normalize golden pin names
-/// through the symbol map, and compare per cell. Returns all differences.
+/// Verification's source side: every cell's golden net table, extracted
+/// under the source dialect, with pin names mapped through the symbol map
+/// and net names normalized as translation would write them. It depends on
+/// the source design alone, so it can be built while the design migrates.
+struct GoldenNetlists {
+  struct Cell {
+    std::string name;
+    NamePool pool;  ///< check_migration interns the subject's names here too
+    NetTable golden;
+    base::DiagnosticEngine diags;  ///< the golden extraction's
+  };
+  std::vector<Cell> cells;  ///< in cell name order
+};
+
+GoldenNetlists extract_golden(const Design& src, const MigrationConfig& config);
+
+/// Verification's check: extract each golden cell of the migrated design
+/// under the target dialect and compare. Per cell, `diags` receives the
+/// golden extraction's diagnostics, then the subject's. Returns all
+/// differences, cell after cell.
+std::vector<NetlistDiff> check_migration(GoldenNetlists& golden,
+                                         const Design& migrated,
+                                         const MigrationConfig& config,
+                                         base::DiagnosticEngine& diags);
+
+/// Independent verification: check_migration of extract_golden(src).
 std::vector<NetlistDiff> verify_migration(const Design& src,
                                           const Design& migrated,
                                           const MigrationConfig& config,

@@ -303,11 +303,11 @@ void InteropService::finish(Pending p, Response resp, std::uint64_t start_us) {
 }
 
 Response InteropService::handle(const Request& req, const Flight& flight) {
-  obs::Span span("service", "request:" + to_string(req.type),
-                 obs::armed() ? "\"tenant\":\"" + obs::escape_json(
-                                    req.tenant) +
-                                    "\",\"id\":" + std::to_string(req.id)
-                              : std::string());
+  obs::Span span("service", [&req] {
+    return std::pair{"request:" + to_string(req.type),
+                     "\"tenant\":\"" + obs::escape_json(req.tenant) +
+                         "\",\"id\":" + std::to_string(req.id)};
+  });
   if (flight.token.cancelled())
     return error_response(req.id, "cancelled before start");
 
@@ -336,7 +336,6 @@ Response InteropService::handle(const Request& req, const Flight& flight) {
 }
 
 Response InteropService::handle_migrate(const Request& req) {
-  Response resp;
   base::DiagnosticEngine diags;
   std::optional<sch::Design> src;
   try {
@@ -344,13 +343,34 @@ Response InteropService::handle_migrate(const Request& req) {
   } catch (const std::exception& e) {
     return error_response(req.id, std::string("bad design: ") + e.what());
   }
-  sch::MigrationResult result =
-      sch::migrate_design(*src, migration_config_, diags);
+  // Verification is independent of the migration (§2): its golden side
+  // needs only the source, so it is built beside migrate_design, and the
+  // check of the migrated design runs beside writing it out.
+  Response resp;
+  std::optional<sch::MigrationResult> result;
+  sch::GoldenNetlists golden;
+  std::vector<sch::NetlistDiff> diffs;
   base::DiagnosticEngine verify_diags;
-  std::vector<sch::NetlistDiff> diffs = sch::verify_migration(
-      *src, result.design, migration_config_, verify_diags);
-  resp.body = sch::write_design(result.design);
-  const sch::MigrationReport& r = result.report;
+  runtime::WorkerPool& pool = runtime::WorkerPool::shared();
+  try {
+    pool.run(2, [&](int i) {
+      if (i == 0)
+        result.emplace(sch::migrate_design(*src, migration_config_, diags));
+      else
+        golden = sch::extract_golden(*src, migration_config_);
+    });
+    src.reset();  // both sides are done with it
+    pool.run(2, [&](int i) {
+      if (i == 0)
+        diffs = sch::check_migration(golden, result->design,
+                                     migration_config_, verify_diags);
+      else
+        resp.body = sch::write_design(result->design);
+    });
+  } catch (const std::exception& e) {
+    return error_response(req.id, std::string("migrate failed: ") + e.what());
+  }
+  const sch::MigrationReport& r = result->report;
   resp.counters = {
       {"sheets", r.sheets},
       {"diffs", diffs.size()},
@@ -453,21 +473,22 @@ Response InteropService::handle_flow_run(const Request& req,
 }
 
 Response LoopbackClient::call(const Request& req) {
-  // Client -> server leg, through the real frame scanner.
-  FrameReader server_reader;
-  server_reader.feed(encode_request(req));
-  std::string payload, error;
-  if (server_reader.next(&payload, &error) != FrameReader::Result::Frame)
-    return error_response(0, "loopback framing: " + error);
+  // Each leg goes through the real frame scanner, in its own scope, so its
+  // buffers are freed before the next stage runs.
+  std::string error;
   Request decoded;
-  if (!decode_request(payload, &decoded, &error))
-    return error_response(0, "loopback decode: " + error);
-
-  Response served = service_.call(std::move(decoded));
-
-  // Server -> client leg.
+  {
+    FrameReader server_reader;
+    server_reader.feed(encode_request(req));
+    std::string payload;
+    if (server_reader.next(&payload, &error) != FrameReader::Result::Frame)
+      return error_response(0, "loopback framing: " + error);
+    if (!decode_request(payload, &decoded, &error))
+      return error_response(0, "loopback decode: " + error);
+  }
   FrameReader client_reader;
-  client_reader.feed(encode_response(served));
+  client_reader.feed(encode_response(service_.call(std::move(decoded))));
+  std::string payload;
   if (client_reader.next(&payload, &error) != FrameReader::Result::Frame)
     return error_response(0, "loopback framing: " + error);
   Response resp;

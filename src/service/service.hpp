@@ -13,7 +13,9 @@
 // then parks the request on its tenant's FIFO queue. At most `workers`
 // tasks on the shared runtime::WorkerPool drain tenants round-robin (a
 // task ends when the queues are empty), so one tenant flooding the daemon
-// cannot starve another's single request. With a request timeout set, each
+// cannot starve another's single request. A Migrate request forks one more
+// pool task, so it runs on up to two threads: verify's source side beside
+// the migration, then the check beside the write. With a request timeout set, each
 // in-flight request is armed on the shared runtime::Watchdog, which fires
 // the request's CancelToken (and the inner flow executor's request_stop)
 // past the deadline — the same watchdog and cooperative cancellation the

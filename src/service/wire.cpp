@@ -34,16 +34,23 @@ std::uint64_t Response::counter(std::string_view name,
 
 namespace {
 
-/// Wrap an encoded payload in a frame header.
-std::string frame(std::string_view payload) {
+constexpr std::size_t kHeaderBytes = 12;
+
+/// A frame's header with a zero length, in a buffer with room for
+/// `payload_bytes` more; end_frame patches the length once the payload
+/// is written after it.
+std::string begin_frame(std::size_t payload_bytes) {
   std::string out;
-  out.reserve(payload.size() + 12);
+  out.reserve(kHeaderBytes + payload_bytes);
   base::ByteWriter w(out);
   w.bytes({kWireMagic, 4});
   w.u32(kWireVersion);
-  w.u32(std::uint32_t(payload.size()));
-  w.bytes(payload);
+  w.u32(0);
   return out;
+}
+
+void end_frame(std::string& out) {
+  base::ByteWriter(out).u32_at(8, std::uint32_t(out.size() - kHeaderBytes));
 }
 
 bool set_error(std::string* error, const std::string& why) {
@@ -54,7 +61,10 @@ bool set_error(std::string* error, const std::string& why) {
 }  // namespace
 
 std::string encode_request(const Request& req) {
-  std::string p;
+  std::string p = begin_frame(8 + 4 + 5 * 4 + req.tenant.size() +
+                              req.design.size() + req.cell.size() +
+                              req.dialect.size() + req.flow.size() + 4 + 4 +
+                              8);
   base::ByteWriter w(p);
   w.u64(req.id);
   w.u32(std::uint32_t(req.type));
@@ -66,11 +76,15 @@ std::string encode_request(const Request& req) {
   w.u32(req.width);
   w.u32(req.latency_us);
   w.u64(req.seed);
-  return frame(p);
+  end_frame(p);
+  return p;
 }
 
 std::string encode_response(const Response& resp) {
-  std::string p;
+  std::size_t size = 8 + 4 + 8 + 4 + resp.error.size() + 4 +
+                     resp.body.size() + 4;
+  for (const auto& [name, value] : resp.counters) size += 4 + name.size() + 8;
+  std::string p = begin_frame(size);
   base::ByteWriter w(p);
   w.u64(resp.id);
   w.u32(std::uint32_t(resp.status));
@@ -82,7 +96,8 @@ std::string encode_response(const Response& resp) {
     w.str(name);
     w.u64(value);
   }
-  return frame(p);
+  end_frame(p);
+  return p;
 }
 
 bool decode_request(std::string_view payload, Request* out,
@@ -144,6 +159,13 @@ void FrameReader::feed(std::string_view bytes) {
   buf_.append(bytes.data(), bytes.size());
 }
 
+void FrameReader::feed(std::string&& bytes) {
+  if (bad_ || pos_ < buf_.size()) return feed(std::string_view(bytes));
+  // Nothing pending: the bytes become the buffer, uncopied.
+  buf_ = std::move(bytes);
+  pos_ = 0;
+}
+
 FrameReader::Result FrameReader::next(std::string* payload,
                                       std::string* error) {
   auto bad = [&](std::string why) {
@@ -166,8 +188,17 @@ FrameReader::Result FrameReader::next(std::string* payload,
   if (len > kMaxFrameBytes)
     return bad("oversized frame: " + std::to_string(len) + " bytes");
   if (h.remaining() < len) return Result::NeedMore;
-  payload->assign(buf_.data() + pos_ + h.pos(), len);
-  pos_ += h.pos() + std::size_t(len);
+  const std::size_t begin = pos_ + h.pos();
+  if (begin + len == buf_.size()) {
+    // The frame ends the buffer: hand the buffer over, uncopied.
+    buf_.erase(0, begin);
+    payload->swap(buf_);
+    buf_.clear();
+    pos_ = 0;
+  } else {
+    payload->assign(buf_.data() + begin, len);
+    pos_ = begin + len;
+  }
   return Result::Frame;
 }
 

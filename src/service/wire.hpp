@@ -107,6 +107,9 @@ class FrameReader {
   };
 
   void feed(std::string_view bytes);
+  /// As above; when nothing is pending, `bytes` becomes the buffer.
+  void feed(std::string&& bytes);
+  void feed(const char* bytes) { feed(std::string_view(bytes)); }
   Result next(std::string* payload, std::string* error);
 
   /// Bytes buffered but not yet consumed (test hook).

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -338,7 +339,7 @@ std::vector<std::string> notified_steps(std::vector<std::string> notes) {
   return notes;
 }
 
-TEST(RuntimeExecutor, OneWorkerMatchesSerialOnRework) {
+TEST(RuntimeExecutor, ReworkMatchesSerialAtAnyWorkerCount) {
   // The T8 workload: a layered flow runs, then one upstream change arrives
   // and the run reworks what the triggers flag. Every worker count must
   // rework exactly what the serial loop does: a step is claimed only after
@@ -555,6 +556,43 @@ TEST(RuntimePool, SequentialRunsReuseThreads) {
     ASSERT_TRUE(par.complete()) << stats.error;
   }
   EXPECT_LE(pool.threads(), std::max(before, 1));
+}
+
+TEST(RuntimePool, RunRethrowsAfterEveryCallReturns) {
+  // A call that throws, on the caller (0) or on a helper (2), reaches
+  // run()'s caller only once every other call has returned: the slow calls
+  // below would touch destroyed locals if run() unwound early.
+  WorkerPool& pool = WorkerPool::shared();
+  for (int thrower : {0, 2}) {
+    std::atomic<int> returned{0};
+    try {
+      pool.run(4, [&](int i) {
+        if (i == thrower)
+          throw std::runtime_error("call " + std::to_string(i));
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ++returned;
+      });
+      ADD_FAILURE() << "run() returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(returned.load(), 3) << "thrower " << thrower;
+      EXPECT_EQ(std::string(e.what()), "call " + std::to_string(thrower));
+    }
+  }
+  // Every call throws: one exception reaches the caller, and the helpers
+  // are idle again, so the next run starts no thread.
+  std::atomic<int> calls{0};
+  EXPECT_THROW(pool.run(3,
+                        [&](int) {
+                          ++calls;
+                          throw 7;
+                        }),
+               int);
+  EXPECT_EQ(calls.load(), 3);
+  const int threads = pool.threads();
+  std::atomic<int> ran{0};
+  pool.run(3, [&](int) { ++ran; });
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(pool.threads(), threads);
 }
 
 TEST(RuntimeCache, KeyTracksInputContentAndIdentity) {
