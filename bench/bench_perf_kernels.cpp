@@ -11,6 +11,7 @@
 #include "core/optimize.hpp"
 #include "hdl/parser.hpp"
 #include "hdl/sim.hpp"
+#include "obs/metrics.hpp"
 #include "pnr/backplane.hpp"
 #include "pnr/check.hpp"
 #include "pnr/generator.hpp"
@@ -101,7 +102,8 @@ void BM_Place(benchmark::State& state) {
 BENCHMARK(BM_Place)->Unit(benchmark::kMicrosecond);
 
 /// The router at the tapeout shape: placed, exported through the
-/// backplane for RouterAlpha.
+/// backplane for RouterAlpha. `pops_per_s` is the rate of BFS pops (the
+/// `pnr.route.expansions` counter), so 1e9 / pops_per_s is ns per pop.
 void BM_MazeRouteTapeout(benchmark::State& state) {
   using namespace interop::pnr;
   PlaceOptions popt;
@@ -111,11 +113,16 @@ void BM_MazeRouteTapeout(benchmark::State& state) {
   LossReport loss;
   ToolInput input =
       export_via_backplane(design, router_alpha_caps(), loss, diags);
+  interop::obs::MetricCounter& pops =
+      interop::obs::Metrics::global().counter("pnr.route.expansions");
+  const std::int64_t pops_before = pops.value();
   for (auto _ : state) {
     RouteResult r = route(input);
     benchmark::DoNotOptimize(r.wirelength);
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(input.nets.size()));
+  state.counters["pops_per_s"] = benchmark::Counter(
+      double(pops.value() - pops_before), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MazeRouteTapeout)->Unit(benchmark::kMillisecond);
 

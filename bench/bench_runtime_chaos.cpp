@@ -9,8 +9,8 @@
 //    backoff and hang timeouts are instant and the sweep is deterministic.
 //  - retry_overhead: wall-time ratio of a fault-free run with the retry/
 //    watchdog machinery armed vs the plain executor (real clock).
-//  - resume: a run killed at a mid-flow step, then resume_run() from the
-//    reloaded journal — how many steps replay vs re-execute.
+//  - resume: a one-worker run killed at a mid-flow step, then resume_run()
+//    from the reloaded journal — how many steps replay vs re-execute.
 //
 // Self-checking: exits nonzero unless retried survival is 100%, unretried
 // survival is below it, overhead is < 1.5x, and the resume re-executes
@@ -178,9 +178,12 @@ int main() {
                      return r;
                    }};
   }
+  // The killed run has one worker, so the (rank, name) pop order fixes
+  // how many steps complete before the stop: with two, that count follows
+  // thread timing. The resumed run keeps two workers.
   auto cache = std::make_shared<ResultCache>();
   ParallelExecutor killed(killable, {}, std::make_unique<SimpleDataManager>(),
-                          {.workers = 2}, cache);
+                          {.workers = 1}, cache);
   live = &killed;
   killed.set_clock(std::make_shared<SimClock>());
   killed.engine().data().write("inputs.dat", "v1");

@@ -26,9 +26,9 @@ constexpr int kFree = 0;
 constexpr int kBlocked = -1;
 constexpr int kShield = -2;
 
-/// Everything the search knows about one grid cell, packed so that a
-/// neighbour test reads one 24-byte record. Net ids are stored as id + 1 so
-/// that 0 means "none".
+/// Everything the search knows about one grid cell, in one 24-byte record.
+/// The BFS reads it only for cells that are not clean (see Grid::plane).
+/// Net ids are stored as id + 1 so that 0 means "none".
 struct Cell {
   int occ = kFree;    ///< kFree/kBlocked/kShield or net id + 1
   int halo = 0;       ///< 0 or net id + 1 whose spacing halo covers
@@ -61,10 +61,21 @@ std::uint64_t cells_across(std::int64_t lo, std::int64_t hi) {
   return span < kMaxCells ? span + 1 : 0;
 }
 
+/// A cell's byte in Grid::plane: bit d (0..3) says the step-d neighbour
+/// (+x, -x, +y, -y) is on the die; kClean says the cell is free and has no
+/// halo, no pin owner and no approach mark, so any plain net may enter it
+/// and leaving it needs no test but the visited one.
+constexpr std::uint8_t kClean = 1 << 4;
+/// The on-die bits of steps +x and +y, where a 2-wide wire's side cells lie.
+constexpr std::uint8_t kSidesOnDie = 1 << 0 | 1 << 2;
+
 struct Grid {
   Rect die;
   std::int64_t w = 0, h = 0;
   std::vector<Cell> cells;  ///< row-major: index (y - lo.y) * w + (x - lo.x)
+  /// One byte per cell, parallel to `cells`. Built once the obstacles and
+  /// pin sites are in place; every later write of a mark clears kClean.
+  std::vector<std::uint8_t> plane;
 
   /// Throws std::length_error, before allocating anything, when the die
   /// has too many cells for 32-bit search keys.
@@ -88,6 +99,23 @@ struct Grid {
   Point at(std::uint32_t i) const {
     return {die.lo().x + i % w, die.lo().y + i / w};
   }
+  void build_plane() {
+    plane.resize(cells.size());
+    for (std::int64_t y = 0; y < h; ++y)
+      for (std::int64_t x = 0; x < w; ++x) {
+        const Cell& c = cells[std::size_t(y * w + x)];
+        std::uint8_t b = 0;
+        if (x + 1 < w) b |= 1;
+        if (x > 0) b |= 2;
+        if (y + 1 < h) b |= 4;
+        if (y > 0) b |= 8;
+        if (c.occ == kFree && c.halo == 0 && c.pin_owner == 0 &&
+            c.approach == 0)
+          b |= kClean;
+        plane[std::size_t(y * w + x)] = b;
+      }
+  }
+  void unclean(std::uint32_t i) { plane[i] &= std::uint8_t(~kClean); }
   /// The side of `to` that a step from the adjacent cell `from` enters.
   Side entry_side(std::uint32_t from, std::uint32_t to) const {
     if (to == from + w) return Side::South;  // moving up: enters south face
@@ -97,21 +125,18 @@ struct Grid {
   }
 };
 
-/// Flat, epoch-stamped BFS state over (cell, arrival-axis) nodes keyed
-/// cell * 3 + axis (axis 2 = "any", used for tree seeds). A seed is its own
-/// parent. Clearing between terminals is O(1): bump the epoch.
+/// Flat BFS state over (cell, arrival-axis) nodes keyed cell * 3 + axis
+/// (axis 2 = "any", used for tree seeds): one visited bit per key, cleared
+/// per search, and a parent key written only when a node is discovered (so
+/// only a visited node's parent is meaningful). A seed is its own parent.
 ///
-/// The axis-2 node of a cell that is not a seed doubles as the cell's
-/// "expanded" mark (see route()): neighbour keys are always axis 0 or 1,
-/// and the walk-back reads only chain nodes, whose axis-2 members are
-/// seeds, so nothing else reads that slot.
+/// The visited bit of a cell's axis-2 node, when the cell is not a seed,
+/// doubles as the cell's "expanded" mark (see route()): neighbour keys are
+/// always axis 0 or 1, and the walk-back reads only chain nodes, whose
+/// axis-2 members are seeds, so nothing else reads that slot.
 struct SearchScratch {
-  struct Node {
-    std::uint32_t stamp = 0;   ///< visit epoch
-    std::uint32_t parent = 0;  ///< BFS parent key
-  };
-  std::vector<Node> nodes;
-  std::uint32_t epoch = 0;
+  std::vector<std::uint64_t> visited_bits;
+  std::vector<std::uint32_t> parents;
 
   // Tree membership and terminal-record index per cell, epoch-stamped per
   // net so both reset in O(1) when the next net starts.
@@ -126,28 +151,34 @@ struct SearchScratch {
   std::size_t frontier_head = 0;
 
   explicit SearchScratch(std::size_t cells)
-      : nodes(cells * 3),
+      : visited_bits((cells * 3 + 63) / 64),
+        parents(cells * 3),
         tree_stamp(cells, 0),
         term_stamp(cells, 0),
         term_index(cells, 0) {}
 
   void begin_net() { ++net_epoch; }
   void begin_search() {
-    ++epoch;
+    std::fill(visited_bits.begin(), visited_bits.end(), 0);
     frontier.clear();
     frontier_head = 0;
   }
-  bool visited(std::uint32_t key) const { return nodes[key].stamp == epoch; }
-  void set_parent(std::uint32_t key, std::uint32_t parent) {
-    nodes[key] = {epoch, parent};
+  bool visited(std::uint32_t key) const {
+    return (visited_bits[key >> 6] >> (key & 63)) & 1;
   }
-  std::uint32_t parent(std::uint32_t key) const { return nodes[key].parent; }
+  void set_visited(std::uint32_t key) {
+    visited_bits[key >> 6] |= std::uint64_t(1) << (key & 63);
+  }
+  void set_parent(std::uint32_t key, std::uint32_t parent) {
+    set_visited(key);
+    parents[key] = parent;
+  }
+  std::uint32_t parent(std::uint32_t key) const { return parents[key]; }
   /// Marks cell `ci` expanded in this search; false when it already was
   /// (a seed's cell is marked from the start).
   bool mark_expanded(std::uint32_t ci) {
-    Node& mark = nodes[ci * 3 + 2];
-    if (mark.stamp == epoch) return false;
-    mark.stamp = epoch;
+    if (visited(ci * 3 + 2)) return false;
+    set_visited(ci * 3 + 2);
     return true;
   }
 };
@@ -162,11 +193,9 @@ bool side_allowed(const AccessDirs& a, Side s) {
   return true;
 }
 
-/// The four steps in expansion order (+x, -x, +y, -y): their offsets,
-/// arrival axis, the side of the next cell they enter, and the side of the
-/// current cell they leave by.
-constexpr int kDx[4] = {1, -1, 0, 0};
-constexpr int kDy[4] = {0, 0, 1, -1};
+/// The four steps in expansion order (+x, -x, +y, -y), matching the on-die
+/// bits of Grid::plane: their arrival axis, the side of the next cell they
+/// enter, and the side of the current cell they leave by.
 constexpr int kStepAxis[4] = {0, 0, 1, 1};
 constexpr Side kEnterSide[4] = {Side::West, Side::East, Side::South,
                                 Side::North};
@@ -273,6 +302,8 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
     }
   }
 
+  grid.build_plane();
+
   // ---- route nets sequentially ----
   const std::int64_t w = grid.w, h = grid.h;
   const std::int64_t step[4] = {1, -1, w, -w};  // cell index offsets
@@ -296,6 +327,7 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
     const int spacing = routed.spacing_used;
     const int width = routed.width_used;
     const bool plain = width <= 1 && spacing <= 0;
+    const bool fat2 = width == 2 && spacing <= 0;
     const int me = int(n) + 1;
 
     // Terminal positions.
@@ -314,10 +346,8 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
     }
 
     auto foreign = [me](int owner) { return owner != 0 && owner != me; };
-    // Whether the cell at die-relative (x, y), index i, may be entered on
-    // `axis`.
-    auto cell_usable = [&](std::int64_t x, std::int64_t y, std::uint32_t i,
-                           int axis) {
+    // Whether the cell at index i may be entered on `axis`.
+    auto cell_usable = [&](std::uint32_t i, int axis) {
       const Cell& c = grid.cells[i];
       if (c.occ == kBlocked) return false;
       if (c.occ == kShield || (c.occ > 0 && c.occ != me)) {
@@ -341,6 +371,8 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
                     (axis == 1 && c.halo_axis == 1);
         if (!perp) return false;
       }
+      if (plain) return true;  // the tests below need x and y
+      const std::int64_t y = std::int64_t(i) / w, x = std::int64_t(i) - y * w;
       if (spacing > 0) {
         // This net demands clearance: stay away from other nets' metal.
         for (std::int64_t qy = std::max<std::int64_t>(y - spacing, 0),
@@ -421,10 +453,19 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
         if (++expansions > opt.max_expansions) break;
         const std::uint32_t ci = cur / 3;
         const int cur_axis = int(cur - ci * 3);
-        const std::int64_t cy = ci / w, cx = ci - cy * w;
-        const Cell& cell = grid.cells[ci];
-        // Inside a transit cell we may only continue straight through.
-        const bool straight_only = is_transit(cell);
+        const std::uint8_t here = grid.plane[ci];
+        // A clean cell is no transit cell and no pin, so only a cell that
+        // is not clean has its record read. Inside a transit cell we may
+        // only continue straight through; leaving one of this net's own
+        // pins must respect its access sides (the attach face must be a
+        // legal side of the pin).
+        bool straight_only = false;
+        const AccessDirs* own_pin = nullptr;
+        if (!(here & kClean)) {
+          const Cell& cell = grid.cells[ci];
+          straight_only = is_transit(cell);
+          if (cell.pin_owner == me) own_pin = &cell.pin_access;
+        }
         // Any other cell expands once. Its neighbour loop does not depend
         // on the arrival axis: every test reads only the step and the
         // neighbour, and cells change only in the walk-back, after the
@@ -435,20 +476,27 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
         // the search that expands every arrival.
         if (!straight_only && cur_axis != 2 && !search.mark_expanded(ci))
           continue;
-        const bool own_pin = cell.pin_owner == me;
         for (int d = 0; d < 4; ++d) {
+          // Off-die neighbours are never visited nor usable.
+          if (!(here & (1u << d))) continue;
           const int axis = kStepAxis[d];
           if (straight_only && axis != cur_axis) continue;
-          // Off-die neighbours are never visited nor usable.
-          const std::int64_t nx = cx + kDx[d], ny = cy + kDy[d];
-          if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
           const std::uint32_t ni = std::uint32_t(ci + step[d]);
           const std::uint32_t key = ni * 3 + std::uint32_t(axis);
           if (search.visited(key)) continue;
-          // Leaving one of this net's own pins: respect its access sides
-          // (the attach face must be a legal side of the pin).
-          if (own_pin && !side_allowed(cell.pin_access, kLeaveSide[d]))
+          if (own_pin && !side_allowed(*own_pin, kLeaveSide[d])) continue;
+          // A plain net enters a clean cell on either axis, and a 2-wide
+          // net without spacing one whose +x and +y cells (its side
+          // cells) are on the die and clean: cell_usable would pass both.
+          // The target holds a pin, so it is never clean.
+          const std::uint8_t next = grid.plane[ni];
+          if ((next & kClean) &&
+              (plain || (fat2 && (next & kSidesOnDie) == kSidesOnDie &&
+                         (grid.plane[ni + 1] & grid.plane[ni + w] & kClean)))) {
+            search.set_parent(key, cur);
+            search.frontier.push_back(key);
             continue;
+          }
           if (ni == target) {
             // Respect the pin's access sides (when the tool knows them).
             if (!side_allowed(target_access, kEnterSide[d])) continue;
@@ -457,7 +505,7 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
             found = true;
             break;
           }
-          if (!cell_usable(nx, ny, ni, axis)) continue;
+          if (!cell_usable(ni, axis)) continue;
           search.set_parent(key, cur);
           search.frontier.push_back(key);
         }
@@ -492,6 +540,9 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
           root.entered_from = grid.entry_side(ci, pi);
           root.connected = true;
         }
+        // Every chain cell now carries metal: this net's, or a locked
+        // crossing of a foreign wire.
+        grid.unclean(ci);
         Cell& c = grid.cells[ci];
         if (c.occ > 0 && c.occ != me) {
           // Crossing point: both nets now pass here; lock the cell.
@@ -512,6 +563,7 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
               if (!grid.inside(q)) continue;
               Cell& side = grid.cells[grid.idx(q)];
               if (side.occ == kFree && !foreign(side.approach)) {
+                grid.unclean(grid.idx(q));
                 side.occ = me;
                 // Fat metal runs parallel to the center wire; perpendicular
                 // crossings stay legal (corners lock to 3 via bits).
@@ -527,7 +579,10 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
               if (!grid.inside(q)) continue;
               Cell& near = grid.cells[grid.idx(q)];
               if (foreign(near.approach)) continue;
-              if (near.halo == 0) near.halo = me;
+              if (near.halo == 0) {
+                grid.unclean(grid.idx(q));
+                near.halo = me;
+              }
               if (near.halo == me) near.halo_axis |= bits;
             }
           }
@@ -550,6 +605,7 @@ RouteResult route(const ToolInput& input, const RouteOptions& opt) {
           Cell& guard = grid.cells[grid.idx(q)];
           if (guard.occ == kFree && guard.pin_owner == 0 &&
               guard.approach == 0) {
+            grid.unclean(grid.idx(q));
             guard.occ = kShield;
             guard.dir = cbits == 0 ? 3 : cbits;
             routed.shield_cells.push_back(q);

@@ -952,22 +952,28 @@ void expect_same_routes(const RouteResult& want, const RouteResult& got,
   }
 }
 
-/// Routes every shape of `seed` with both kernels under `opt` and checks
-/// the results field by field and the `pnr.route.expansions` counter's
-/// delta against the oracle's pop count.
-void expect_matches_oracle(std::uint64_t seed, const RouteOptions& opt = {}) {
+/// Routes `input` with both kernels under `opt` and checks the results
+/// field by field and the `pnr.route.expansions` counter's delta against
+/// the oracle's pop count.
+void expect_input_matches_oracle(const ToolInput& input,
+                                 const RouteOptions& opt,
+                                 const std::string& where) {
   obs::MetricCounter& counted =
       obs::Metrics::global().counter("pnr.route.expansions");
+  const oracle::Result want = oracle::route(input, opt);
+  const std::int64_t before = counted.value();
+  const RouteResult got = route(input, opt);
+  EXPECT_EQ(counted.value() - before, want.expansions) << where;
+  expect_same_routes(want.routes, got, where);
+}
+
+/// Every shape of `seed` through expect_input_matches_oracle.
+void expect_matches_oracle(std::uint64_t seed, const RouteOptions& opt = {}) {
   for (Shape shape : kShapes) {
-    ToolInput input = make_input(shape, seed);
-    const std::string where = std::string(shape_name(shape)) + " seed " +
-                              std::to_string(seed) + " cap " +
-                              std::to_string(opt.max_expansions);
-    const oracle::Result want = oracle::route(input, opt);
-    const std::int64_t before = counted.value();
-    const RouteResult got = route(input, opt);
-    EXPECT_EQ(counted.value() - before, want.expansions) << where;
-    expect_same_routes(want.routes, got, where);
+    expect_input_matches_oracle(
+        make_input(shape, seed), opt,
+        std::string(shape_name(shape)) + " seed " + std::to_string(seed) +
+            " cap " + std::to_string(opt.max_expansions));
   }
 }
 
@@ -987,6 +993,22 @@ TEST(RouteOracle, ExpansionCapsMatchOracle) {
     opt.max_expansions = cap;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       expect_matches_oracle(seed, opt);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// A deck may declare a negative spacing ("SPACING -1" parses). Such a net
+// routes like one without spacing but casts no halo, not even over its own
+// path cells, so only the walk-back marks those cells as taken.
+TEST(RouteOracle, NegativeSpacingMatchesOracle) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    for (Shape shape : kShapes) {
+      ToolInput input = make_input(shape, seed);
+      for (ToolInput::NetRecord& net : input.nets) net.spacing = -1;
+      expect_input_matches_oracle(input, {},
+                                  std::string(shape_name(shape)) + " seed " +
+                                      std::to_string(seed) + " spacing -1");
       if (HasFatalFailure()) return;
     }
   }
